@@ -12,6 +12,7 @@
 
 use crate::bounds::CampaignBounds;
 use crate::fallible::LazySuiteCost;
+use crate::latency::{estimated_platform, reference_estimates, LatencyEstimates};
 use crate::params::{build_space, Revision};
 use crate::validator::{CostMetric, Validator, ValidatorSettings};
 use racesim_hw::{FaultPlan, FaultyBoard, HardwarePlatform, ReferenceBoard};
@@ -235,16 +236,34 @@ impl CampaignSpec {
 
     /// Assembles the evaluation stack: board (fault-injected if the spec
     /// says so), latency-estimated base platform, parameter space, and
-    /// the lazy suite cost — all threaded through `telemetry`.
+    /// the lazy suite cost — all threaded through `telemetry`. The base
+    /// platform takes the reference board's memoised
+    /// [`reference_estimates`], so only the first stack per process and
+    /// core runs the probes.
     ///
     /// # Errors
     ///
     /// Propagates probe/measurement failures and unknown fault profiles.
     pub fn build_stack(&self, telemetry: &Telemetry) -> Result<CampaignStack, String> {
+        self.build_stack_from(&reference_estimates(self.kind)?, telemetry)
+    }
+
+    /// [`CampaignSpec::build_stack`] over given latency estimates instead
+    /// of the reference board's — what a distributed worker does with
+    /// the estimates its coordinator sent in the handshake.
+    ///
+    /// # Errors
+    ///
+    /// Propagates measurement failures and unknown fault profiles.
+    pub fn build_stack_from(
+        &self,
+        est: &LatencyEstimates,
+        telemetry: &Telemetry,
+    ) -> Result<CampaignStack, String> {
         let board = self.board();
         let settings = self.validator_settings();
         let v = Validator::new(&board, settings.clone());
-        let base = v.base_platform().map_err(|e| e.to_string())?;
+        let base = estimated_platform(self.kind, est);
         let space = build_space(self.kind, settings.revision);
         let decoder = v.decoder();
         let suite = v.suite();

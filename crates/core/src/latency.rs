@@ -10,10 +10,19 @@
 //! latency, between L1 and L2 the L2 latency, and beyond the L2 the DRAM
 //! latency (inflated by TLB effects on real hardware — an honest source
 //! of estimation error the tuner later corrects for).
+//!
+//! The probes are a pure function of the board they run on. Campaigns
+//! always tune against the reference board of their core, so
+//! [`reference_estimates`] runs that ladder once per process and every
+//! later campaign stack (and every distributed worker, which receives the
+//! coordinator's estimates in its handshake) reuses the result.
 
-use racesim_hw::{HardwarePlatform, MeasureError};
+use std::sync::OnceLock;
+
+use racesim_hw::{HardwarePlatform, MeasureError, ReferenceBoard};
 use racesim_kernels::probes;
 use racesim_sim::Platform;
+use racesim_uarch::CoreKind;
 
 /// Estimated load-to-use latencies, in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,11 +69,41 @@ pub fn estimate_latencies(hw: &dyn HardwarePlatform) -> Result<LatencyEstimates,
     })
 }
 
+/// The estimates of the reference board for `kind`
+/// ([`ReferenceBoard::firefly_a53`] / [`ReferenceBoard::firefly_a72`]).
+/// The probe ladder runs on the first call per core; later calls return
+/// the memoised result.
+///
+/// # Errors
+///
+/// The (memoised) probe-measurement failure, rendered as text.
+pub fn reference_estimates(kind: CoreKind) -> Result<LatencyEstimates, String> {
+    static A53: OnceLock<Result<LatencyEstimates, String>> = OnceLock::new();
+    static A72: OnceLock<Result<LatencyEstimates, String>> = OnceLock::new();
+    let (memo, board): (_, fn() -> ReferenceBoard) = match kind {
+        CoreKind::InOrder => (&A53, ReferenceBoard::firefly_a53),
+        CoreKind::OutOfOrder => (&A72, ReferenceBoard::firefly_a72),
+    };
+    memo.get_or_init(|| estimate_latencies(&board()).map_err(|e| e.to_string()))
+        .clone()
+}
+
 /// Plugs the estimates into a platform (step 2's output feeding step 3).
 pub fn apply_estimates(platform: &mut Platform, est: &LatencyEstimates) {
     platform.mem.l1d.latency = est.l1d;
     platform.mem.l2.latency = est.l2;
     platform.mem.dram.latency = est.dram;
+}
+
+/// The base platform of steps 1–2: the public-information preset for
+/// `kind` with the estimates plugged in.
+pub fn estimated_platform(kind: CoreKind, est: &LatencyEstimates) -> Platform {
+    let mut base = match kind {
+        CoreKind::InOrder => Platform::a53_like(),
+        CoreKind::OutOfOrder => Platform::a72_like(),
+    };
+    apply_estimates(&mut base, est);
+    base
 }
 
 #[cfg(test)]

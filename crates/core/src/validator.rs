@@ -1,6 +1,6 @@
 //! The end-to-end validation flow (Figure 1).
 
-use crate::latency::{apply_estimates, estimate_latencies};
+use crate::latency::{estimate_latencies, estimated_platform};
 use crate::params::{apply, best_guess, build_space, Revision};
 use racesim_analyzer::{Diagnostic, Severity};
 use racesim_decoder::{Decoder, Quirks};
@@ -375,13 +375,8 @@ impl<'hw> Validator<'hw> {
     ///
     /// Propagates probe-measurement failures.
     pub fn base_platform(&self) -> Result<Platform, MeasureError> {
-        let mut base = match self.settings.kind {
-            CoreKind::InOrder => Platform::a53_like(),
-            CoreKind::OutOfOrder => Platform::a72_like(),
-        };
         let est = estimate_latencies(self.board)?;
-        apply_estimates(&mut base, &est);
-        Ok(base)
+        Ok(estimated_platform(self.settings.kind, &est))
     }
 
     /// Runs the full methodology: steps 1–4 and 6. (Step 5 — error

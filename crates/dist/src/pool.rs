@@ -7,8 +7,14 @@
 //! shared queue; one coordinator thread per worker slot *pulls* tasks
 //! from it (work stealing degenerates to pulling from a single shared
 //! queue when tasks are homogeneous), round-trips each over the wire,
-//! and writes the classified outcome into its slot-indexed cell. The
-//! racing loop then classifies outcomes **in canonical configuration
+//! and writes the classified outcome into its slot-indexed cell.
+//!
+//! Nothing polls. An idle puller blocks on the queue without a timeout,
+//! and the puller that completes a batch's last task wakes every puller
+//! with one end-of-batch sentinel each, so a batch costs its slowest
+//! round-trip and no more.
+//!
+//! The racing loop then classifies outcomes **in canonical configuration
 //! order**, exactly as it does for the sequential and in-process-thread
 //! backends — which worker answered which request, and in what order,
 //! cannot influence elimination decisions, checkpoint bytes, or the
@@ -49,6 +55,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{self, Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
+use racesim_core::latency::reference_estimates;
 use racesim_race::{
     eval_with_retry, Configuration, EvalDispatch, EvalError, ParamSpace, RetryPolicy, TryCostFn,
 };
@@ -148,8 +155,9 @@ pub struct PoolOptions {
     /// init spec) should be the tighter bound — this is the backstop
     /// against a wedged process.
     pub request_timeout: Duration,
-    /// Deadline for spawn + handshake (stack building includes latency
-    /// estimation, so this is deliberately generous).
+    /// Deadline for spawn + handshake. Workers take the latency
+    /// estimates from the handshake instead of probing, but still
+    /// generate the suite's traces, so this stays generous.
     pub spawn_timeout: Duration,
     /// Failures before a slot is quarantined for good.
     pub max_failures: u32,
@@ -254,8 +262,12 @@ impl WorkerPool {
     }
 
     /// Spawns slot `w`'s worker and runs the init/ready handshake,
-    /// validating that the worker rebuilt the same parameter space.
+    /// validating that the worker rebuilt the same parameter space. The
+    /// init frame carries the coordinator's memoised reference-board
+    /// latency estimates, so the worker's base platform is this
+    /// process's without a second probe run.
     fn spawn(&self, w: usize, n_params: usize) -> Result<Conn, String> {
+        let est = reference_estimates(self.opts.init.core_kind()?)?;
         let link = self.launcher.launch(w)?;
         let (tx, rx) = channel::unbounded();
         let mut reader = link.reader;
@@ -284,7 +296,7 @@ impl WorkerPool {
         };
         let mut init = self.opts.init.clone();
         init.worker = w;
-        write_request(&mut conn.writer, &Request::Init(init))
+        write_request(&mut conn.writer, &Request::Init(init, est))
             .map_err(|e| format!("init handshake send failed: {e}"))?;
         match conn.rx.recv_timeout(self.opts.spawn_timeout) {
             Ok(Ok(Response::Ready {
@@ -405,14 +417,22 @@ impl WorkerPool {
         }
     }
 
-    /// One slot's pull loop: drain tasks from the shared queue until the
-    /// batch completes or this slot is quarantined.
+    /// One slot's pull loop: evaluate tasks from the shared queue until
+    /// the batch's end-of-batch sentinel (`None`) arrives or this slot is
+    /// quarantined.
+    ///
+    /// Blocking without a timeout is safe because a pending task is
+    /// always either queued or in flight on a live puller: a failing
+    /// puller re-queues its task before it returns, so while any puller
+    /// waits, some task or sentinel is still to arrive. The puller that
+    /// completes the last task sends one sentinel per puller.
     #[allow(clippy::too_many_arguments)]
     fn pull_loop(
         &self,
         w: usize,
-        queue_tx: &channel::Sender<usize>,
-        queue_rx: &Receiver<usize>,
+        queue_tx: &channel::Sender<Option<usize>>,
+        queue_rx: &Receiver<Option<usize>>,
+        pullers: usize,
         space: &ParamSpace,
         tasks: &[&Configuration],
         instance: usize,
@@ -420,26 +440,22 @@ impl WorkerPool {
         results: &Mutex<Vec<Option<EvalOutcome>>>,
         pending: &AtomicUsize,
     ) {
-        loop {
-            if pending.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            let task = match queue_rx.recv_timeout(Duration::from_millis(25)) {
-                Ok(task) => task,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return,
-            };
+        while let Ok(Some(task)) = queue_rx.recv() {
             match self.eval_on(w, space, tasks[task], instance, retry) {
                 Ok(outcome) => {
                     results.lock()[task] = Some(outcome);
-                    pending.fetch_sub(1, Ordering::AcqRel);
+                    if pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                        for _ in 0..pullers {
+                            let _ = queue_tx.send(None);
+                        }
+                    }
                 }
                 Err(quarantined) => {
                     // The evaluation is presumed innocent of the
                     // worker's death: back into the queue, retry
                     // accounting untouched.
                     self.m_redispatched.inc();
-                    let _ = queue_tx.send(task);
+                    let _ = queue_tx.send(Some(task));
                     if quarantined {
                         return;
                     }
@@ -462,26 +478,31 @@ impl EvalDispatch for WorkerPool {
         let pending = AtomicUsize::new(n);
         let (queue_tx, queue_rx) = channel::unbounded();
         for task in 0..n {
-            queue_tx.send(task).expect("queue is open");
+            queue_tx.send(Some(task)).expect("queue is open");
         }
-        let pullers = self.opts.workers.min(n.max(1));
+        // No pullers for an empty batch: nothing would wake them.
+        let pullers = self.opts.workers.min(n);
         crossbeam::scope(|scope| {
             for w in 0..pullers {
                 let (queue_tx, queue_rx) = (&queue_tx, &queue_rx);
                 let (results, pending) = (&results, &pending);
                 scope.spawn(move |_| {
                     self.pull_loop(
-                        w, queue_tx, queue_rx, space, tasks, instance, retry, results, pending,
+                        w, queue_tx, queue_rx, pullers, space, tasks, instance, retry, results,
+                        pending,
                     );
                 });
             }
         })
         .expect("pool dispatch threads do not panic");
         // Every slot quarantined with work left: degrade to the local
-        // path so the campaign still completes (and still exits 0).
+        // path so the campaign still completes (and still exits 0). No
+        // sentinel was sent, since no puller completed the last task.
         while pending.load(Ordering::Acquire) > 0 {
             let task = queue_rx
                 .try_recv()
+                .ok()
+                .flatten()
                 .expect("unfinished tasks are always queued");
             self.m_fallback.inc();
             let outcome =
@@ -560,7 +581,7 @@ mod tests {
             std::thread::spawn(move || {
                 let mut reader = work.try_clone().expect("clone socket");
                 let mut writer = work;
-                let _ = serve(&mut reader, &mut writer, &opts, |_| {
+                let _ = serve(&mut reader, &mut writer, &opts, |_, _| {
                     Ok(WorkerStack {
                         space: space(),
                         cost: Arc::new(LinearCost),
@@ -627,6 +648,9 @@ mod tests {
             );
             assert_eq!(*retries, expect.1);
         }
+        assert!(pool
+            .eval_batch(&space, &[], 2, &RetryPolicy::immediate(1))
+            .is_empty());
     }
 
     #[test]
@@ -674,6 +698,85 @@ mod tests {
             .count();
         assert!(failed >= 4, "expected >= 4 worker failures, saw {failed}");
         assert_eq!(quarantined, 2, "both slots quarantine");
+    }
+
+    /// Runs `batches` small batches (2–3 tasks, cycling) through `pool`
+    /// and checks every outcome against the inline path.
+    fn run_small_batches(pool: &WorkerPool, batches: usize) {
+        let space = space();
+        let retry = RetryPolicy::immediate(1);
+        for b in 0..batches {
+            let picks: Vec<u16> = (0..2 + b % 2).map(|k| ((b + k) % 8) as u16).collect();
+            let cfgs = configs(&space, &picks);
+            let tasks: Vec<&Configuration> = cfgs.iter().collect();
+            let instance = b % 4;
+            let got = pool.eval_batch(&space, &tasks, instance, &retry);
+            assert_eq!(got.len(), tasks.len(), "batch {b}");
+            for (slot, (result, _)) in got.iter().enumerate() {
+                let expect = eval_with_retry(&LinearCost, tasks[slot], &space, instance, &retry);
+                assert_eq!(
+                    result.clone().map(f64::to_bits),
+                    expect.0.map(f64::to_bits),
+                    "batch {b} slot {slot} diverged"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn small_batches_finish_without_polling_delays() {
+        // A batch ends when its last outcome arrives. A puller that waits
+        // on a timed poll instead adds up to one poll period per batch,
+        // which 120 batches would turn into whole seconds.
+        let pool = WorkerPool::new(
+            Box::new(Loopback {
+                opts: WorkerOptions::default(),
+            }),
+            PoolOptions::new(2, init_spec()),
+            Arc::new(LinearCost),
+            Telemetry::disabled(),
+        );
+        // Spawn both workers outside the timed region.
+        run_small_batches(&pool, 1);
+        let t0 = std::time::Instant::now();
+        run_small_batches(&pool, 120);
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "120 two-to-three-task batches took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn a_worker_killed_mid_campaign_still_completes_every_batch() {
+        let telemetry = Telemetry::in_memory();
+        // Slot 0's worker dies on every 5th request it serves, so it is
+        // respawned, re-dispatched and finally quarantined while slot 1
+        // carries on.
+        let pool = WorkerPool::new(
+            Box::new(Loopback {
+                opts: WorkerOptions {
+                    exit_after: Some(5),
+                    only_worker: Some(0),
+                },
+            }),
+            PoolOptions::new(2, init_spec()),
+            Arc::new(LinearCost),
+            telemetry.clone(),
+        );
+        // Probe outside the timed region, as the first spawn would.
+        reference_estimates(init_spec().core_kind().unwrap()).unwrap();
+        let t0 = std::time::Instant::now();
+        run_small_batches(&pool, 100);
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "100 batches with a dying worker took {elapsed:?}"
+        );
+        let journal = telemetry.lines();
+        let count = |ev: &str| journal.iter().filter(|l| l.contains(ev)).count();
+        assert_eq!(count("\"ev\":\"worker_failed\""), 3);
+        assert_eq!(count("\"ev\":\"worker_quarantined\""), 1);
     }
 
     #[test]

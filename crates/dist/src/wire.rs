@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! coordinator                          worker
-//!     | -- init {core,scale,faults,...} -> |   (once, on spawn)
+//!     | -- init {core,...,l1d,l2,dram} --> |   (once, on spawn)
 //!     | <- ready {worker,n_instances,...}  |
 //!     | -- eval {id,cfg,inst,retry...} --> |   (repeated)
 //!     | <- eval {id,outcome,retries} ----- |
@@ -24,15 +24,22 @@
 //! codes the checkpoint format already defines (`C{k}`/`I{k}`/`F{0|1}`,
 //! joined with `.`), so the two sides agree on encoding by construction.
 //!
+//! The `init` frame also carries the coordinator's latency estimates
+//! (`l1d`, `l2`, `dram` cycles), so a worker builds the exact base
+//! platform the coordinator raced against without re-running the probes.
+//!
 //! The decoder is strict: torn prefixes and payloads, frames above
-//! [`MAX_FRAME`], unknown kinds, and non-finite cost bits are all typed
+//! [`MAX_FRAME`], unknown kinds, non-finite cost bits, and missing or
+//! zero latency estimates are all typed
 //! [`WireError`]s — the coordinator maps every one of them into the fault
 //! taxonomy rather than trusting a half-written frame.
 
 use std::io::{Read, Write};
 
+use racesim_core::latency::LatencyEstimates;
 use racesim_race::{replay, Configuration, ParamSpace, RetryPolicy};
 use racesim_telemetry::json::{parse_object, Obj, Scalar};
+use racesim_uarch::CoreKind;
 
 /// Hard cap on one frame's payload, in bytes. Frames carry one flat JSON
 /// object (a config code, an outcome, a reason string); anything larger
@@ -175,11 +182,28 @@ pub struct InitSpec {
     pub static_bounds: bool,
 }
 
+impl InitSpec {
+    /// The core named by [`InitSpec::core`].
+    ///
+    /// # Errors
+    ///
+    /// Names other than `a53` and `a72`.
+    pub fn core_kind(&self) -> Result<CoreKind, String> {
+        match self.core.as_str() {
+            "a53" => Ok(CoreKind::InOrder),
+            "a72" => Ok(CoreKind::OutOfOrder),
+            other => Err(format!("unknown core {other:?} (use a53 or a72)")),
+        }
+    }
+}
+
 /// A coordinator-to-worker frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Handshake: campaign context, sent once after spawn.
-    Init(InitSpec),
+    /// Handshake, sent once after spawn: the campaign context plus the
+    /// coordinator's latency estimates, which the worker's base platform
+    /// takes instead of probing.
+    Init(InitSpec, LatencyEstimates),
     /// Evaluate one configuration on one instance.
     Eval {
         /// Request id, echoed back in the matching response.
@@ -270,13 +294,14 @@ impl Fields {
         self.u64(key).map(|v| v as usize)
     }
 
-    /// `u64` with a default when the field is absent — for fields newer
-    /// than the peer (a present-but-mistyped field still errors).
-    fn u64_or(&self, key: &str, default: u64) -> Result<u64, WireError> {
-        if self.0.iter().any(|(k, _)| k == key) {
-            self.u64(key)
-        } else {
-            Ok(default)
+    /// A latency estimate in cycles: the probes never yield less than one,
+    /// so zero marks a corrupt frame.
+    fn latency(&self, key: &str) -> Result<u64, WireError> {
+        match self.u64(key)? {
+            0 => Err(WireError::Field(format!(
+                "latency estimate {key:?} is zero"
+            ))),
+            cycles => Ok(cycles),
         }
     }
 
@@ -290,7 +315,7 @@ impl Request {
     pub fn encode(&self) -> String {
         let mut o = Obj::new();
         match self {
-            Request::Init(spec) => {
+            Request::Init(spec, est) => {
                 o.str("kind", "init")
                     .str("core", &spec.core)
                     .u64("scale", spec.scale)
@@ -298,7 +323,10 @@ impl Request {
                     .u64("fault_seed", spec.fault_seed)
                     .u64("timeout_ms", spec.timeout_ms)
                     .u64("worker", spec.worker as u64)
-                    .u64("static_bounds", u64::from(spec.static_bounds));
+                    .u64("static_bounds", u64::from(spec.static_bounds))
+                    .u64("l1d", est.l1d)
+                    .u64("l2", est.l2)
+                    .u64("dram", est.dram);
             }
             Request::Eval {
                 id,
@@ -327,21 +355,28 @@ impl Request {
     /// # Errors
     ///
     /// [`WireError::Json`] for malformed payloads, [`WireError::Field`]
-    /// for missing/mistyped fields (including a non-finite retry factor),
-    /// [`WireError::UnknownKind`] for unrecognised `kind`s.
+    /// for missing/mistyped fields (including a non-finite retry factor
+    /// and a missing or zero latency estimate), [`WireError::UnknownKind`]
+    /// for unrecognised `kind`s.
     pub fn decode(payload: &str) -> Result<Request, WireError> {
         let f = Fields(parse_object(payload).map_err(WireError::Json)?);
         match f.str("kind")?.as_str() {
-            "init" => Ok(Request::Init(InitSpec {
-                core: f.str("core")?,
-                scale: f.u64("scale")?,
-                faults: f.str("faults")?,
-                fault_seed: f.u64("fault_seed")?,
-                timeout_ms: f.u64("timeout_ms")?,
-                worker: f.usize("worker")?,
-                // Absent in frames from pre-bounds coordinators.
-                static_bounds: f.u64_or("static_bounds", 0)? != 0,
-            })),
+            "init" => Ok(Request::Init(
+                InitSpec {
+                    core: f.str("core")?,
+                    scale: f.u64("scale")?,
+                    faults: f.str("faults")?,
+                    fault_seed: f.u64("fault_seed")?,
+                    timeout_ms: f.u64("timeout_ms")?,
+                    worker: f.usize("worker")?,
+                    static_bounds: f.u64("static_bounds")? != 0,
+                },
+                LatencyEstimates {
+                    l1d: f.latency("l1d")?,
+                    l2: f.latency("l2")?,
+                    dram: f.latency("dram")?,
+                },
+            )),
             "eval" => {
                 let factor = f.f64_bits("r_factor_bits")?;
                 if !factor.is_finite() {
@@ -560,26 +595,24 @@ mod tests {
     }
 
     #[test]
-    fn init_roundtrips_and_defaults_the_bounds_toggle() {
-        let req = Request::Init(InitSpec {
-            core: "a72".to_string(),
-            scale: 4096,
-            faults: "transient".to_string(),
-            fault_seed: 9,
-            timeout_ms: 500,
-            worker: 3,
-            static_bounds: true,
-        });
+    fn init_roundtrips_with_its_latency_estimates() {
+        let req = Request::Init(
+            InitSpec {
+                core: "a72".to_string(),
+                scale: 4096,
+                faults: "transient".to_string(),
+                fault_seed: 9,
+                timeout_ms: 500,
+                worker: 3,
+                static_bounds: true,
+            },
+            LatencyEstimates {
+                l1d: 4,
+                l2: 19,
+                dram: 187,
+            },
+        );
         assert_eq!(Request::decode(&req.encode()).unwrap(), req);
-
-        // Frames from a pre-bounds coordinator lack the field: default off.
-        let legacy = "{\"kind\":\"init\",\"core\":\"a53\",\"scale\":2048,\
-                      \"faults\":\"none\",\"fault_seed\":1,\"timeout_ms\":0,\
-                      \"worker\":0}";
-        match Request::decode(legacy).unwrap() {
-            Request::Init(spec) => assert!(!spec.static_bounds),
-            other => panic!("expected init, got {other:?}"),
-        }
     }
 
     #[test]

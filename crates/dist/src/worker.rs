@@ -3,8 +3,9 @@
 //!
 //! A worker is stateless between requests. It learns the campaign context
 //! from the [`Request::Init`] handshake, rebuilds the evaluation stack
-//! locally (board, latency-estimated base platform, parameter space, lazy
-//! suite cost — exactly what the coordinator built), replies
+//! locally (board, parameter space, lazy suite cost, and the base platform
+//! from the latency estimates the handshake carries — exactly what the
+//! coordinator built, without re-running the probes), replies
 //! [`Response::Ready`], then answers [`Request::Eval`] frames until it is
 //! shut down or its stream closes.
 //!
@@ -25,12 +26,12 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
+use racesim_core::latency::LatencyEstimates;
 use racesim_core::CampaignSpec;
 use racesim_hw::FaultPlan;
 use racesim_kernels::Scale;
 use racesim_race::{eval_with_retry, ParamSpace, TryCostFn, Watchdog};
 use racesim_telemetry::Telemetry;
-use racesim_uarch::CoreKind;
 
 use crate::wire::{
     decode_config, read_request, write_response, InitSpec, Outcome, Request, Response, WireError,
@@ -81,9 +82,9 @@ pub enum ServeEnd {
 /// Serves framed evaluation requests until shutdown, EOF, or injected
 /// death.
 ///
-/// Reads the [`Request::Init`] handshake, calls `build` to assemble the
-/// evaluation stack for that campaign, replies [`Response::Ready`], then
-/// loops over [`Request::Eval`] frames.
+/// Reads the [`Request::Init`] handshake, calls `build` with its campaign
+/// context and latency estimates to assemble the evaluation stack,
+/// replies [`Response::Ready`], then loops over [`Request::Eval`] frames.
 ///
 /// # Errors
 ///
@@ -93,10 +94,10 @@ pub fn serve(
     reader: &mut dyn Read,
     writer: &mut dyn Write,
     opts: &WorkerOptions,
-    build: impl FnOnce(&InitSpec) -> Result<WorkerStack, String>,
+    build: impl FnOnce(&InitSpec, &LatencyEstimates) -> Result<WorkerStack, String>,
 ) -> Result<ServeEnd, WireError> {
-    let init = match read_request(reader)? {
-        Request::Init(spec) => spec,
+    let (init, est) = match read_request(reader)? {
+        Request::Init(spec, est) => (spec, est),
         Request::Shutdown => {
             write_response(writer, &Response::Bye)?;
             return Ok(ServeEnd::Shutdown);
@@ -107,8 +108,8 @@ pub fn serve(
             )))
         }
     };
-    let stack =
-        build(&init).map_err(|e| WireError::Field(format!("worker stack build failed: {e}")))?;
+    let stack = build(&init, &est)
+        .map_err(|e| WireError::Field(format!("worker stack build failed: {e}")))?;
     write_response(
         writer,
         &Response::Ready {
@@ -166,7 +167,7 @@ pub fn serve(
                 write_response(writer, &Response::Bye)?;
                 return Ok(ServeEnd::Shutdown);
             }
-            Request::Init(_) => {
+            Request::Init(..) => {
                 return Err(WireError::Field(
                     "duplicate init frame after handshake".to_string(),
                 ))
@@ -176,23 +177,19 @@ pub fn serve(
 }
 
 /// Builds the evaluation stack a spawned worker serves: the campaign's
-/// own `build_stack`, with telemetry disabled (the coordinator journals;
-/// workers stay silent) and the fault seed re-keyed per worker slot via
-/// [`FaultPlan::worker_seed`] so concurrent workers draw distinct,
-/// deterministic fault schedules.
+/// own `build_stack` over the coordinator's latency estimates (so the
+/// worker never probes), with telemetry disabled (the coordinator
+/// journals; workers stay silent) and the fault seed re-keyed per worker
+/// slot via [`FaultPlan::worker_seed`] so concurrent workers draw
+/// distinct, deterministic fault schedules.
 ///
 /// # Errors
 ///
-/// Unknown core names, and any probe/measurement failure from
-/// `CampaignSpec::build_stack`.
-pub fn campaign_stack(init: &InitSpec) -> Result<WorkerStack, String> {
-    let kind = match init.core.as_str() {
-        "a53" => CoreKind::InOrder,
-        "a72" => CoreKind::OutOfOrder,
-        other => return Err(format!("unknown core {other:?} (use a53 or a72)")),
-    };
+/// Unknown core names and fault profiles, and any trace-generation or
+/// measurement failure from `CampaignSpec::build_stack_from`.
+pub fn campaign_stack(init: &InitSpec, est: &LatencyEstimates) -> Result<WorkerStack, String> {
     let spec = CampaignSpec {
-        kind,
+        kind: init.core_kind()?,
         scale: Scale::divide_by(init.scale),
         budget: 0,
         seed: 0,
@@ -205,7 +202,7 @@ pub fn campaign_stack(init: &InitSpec) -> Result<WorkerStack, String> {
         frozen: Vec::new(),
         static_bounds: init.static_bounds,
     };
-    let stack = spec.build_stack(&Telemetry::disabled())?;
+    let stack = spec.build_stack_from(est, &Telemetry::disabled())?;
     let n_instances = stack.cost.len();
     let cost: Arc<dyn TryCostFn + Send + Sync> = match spec.timeout_ms {
         Some(ms) => Arc::new(Watchdog::new(stack.cost, Duration::from_millis(ms))),
@@ -282,7 +279,7 @@ mod tests {
         space
     }
 
-    fn test_build(_init: &InitSpec) -> Result<WorkerStack, String> {
+    fn test_build(_init: &InitSpec, _est: &LatencyEstimates) -> Result<WorkerStack, String> {
         Ok(WorkerStack {
             space: test_space(),
             cost: Arc::new(SquareCost),
@@ -315,15 +312,22 @@ mod tests {
     }
 
     fn init_req(worker: usize) -> Request {
-        Request::Init(InitSpec {
-            core: "a53".to_string(),
-            scale: 2048,
-            faults: "none".to_string(),
-            fault_seed: 1,
-            timeout_ms: 0,
-            worker,
-            static_bounds: false,
-        })
+        Request::Init(
+            InitSpec {
+                core: "a53".to_string(),
+                scale: 2048,
+                faults: "none".to_string(),
+                fault_seed: 1,
+                timeout_ms: 0,
+                worker,
+                static_bounds: false,
+            },
+            LatencyEstimates {
+                l1d: 3,
+                l2: 15,
+                dram: 160,
+            },
+        )
     }
 
     #[test]

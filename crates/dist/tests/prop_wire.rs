@@ -7,11 +7,13 @@
 //!    decode (costs travel as raw `f64` bits, so even subnormals and
 //!    signed zeros survive exactly);
 //! 2. the decoder never accepts a damaged stream: torn prefixes, torn
-//!    payloads, oversized lengths and non-finite cost bits all come back
-//!    as typed `WireError`s, never as a plausible-looking frame.
+//!    payloads, oversized lengths, non-finite cost bits and init frames
+//!    without usable latency estimates all come back as typed
+//!    `WireError`s, never as a plausible-looking frame.
 
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
+use racesim_core::latency::LatencyEstimates;
 use racesim_dist::wire::{
     read_frame, read_request, read_response, write_request, write_response, InitSpec, Outcome,
     Request, Response, WireError, MAX_FRAME,
@@ -50,8 +52,17 @@ fn any_retry() -> impl Strategy<Value = RetryPolicy> {
     )
 }
 
-fn any_request() -> BoxedStrategy<Request> {
-    prop_oneof![
+/// Latency estimates as the probes produce them: at least one cycle.
+fn any_estimates() -> impl Strategy<Value = LatencyEstimates> {
+    (1..u64::MAX, 1..u64::MAX, 1..u64::MAX).prop_map(|(l1d, l2, dram)| LatencyEstimates {
+        l1d,
+        l2,
+        dram,
+    })
+}
+
+fn any_init() -> impl Strategy<Value = Request> {
+    (
         (
             any_string(),
             1..1_000_000u64,
@@ -59,11 +70,14 @@ fn any_request() -> BoxedStrategy<Request> {
             any::<u64>(),
             any::<u64>(),
             0..64usize,
-            any::<bool>()
-        )
-            .prop_map(
-                |(core, scale, faults, fault_seed, timeout_ms, worker, static_bounds)| {
-                    Request::Init(InitSpec {
+            any::<bool>(),
+        ),
+        any_estimates(),
+    )
+        .prop_map(
+            |((core, scale, faults, fault_seed, timeout_ms, worker, static_bounds), est)| {
+                Request::Init(
+                    InitSpec {
                         core,
                         scale,
                         faults,
@@ -71,9 +85,16 @@ fn any_request() -> BoxedStrategy<Request> {
                         timeout_ms,
                         worker,
                         static_bounds,
-                    })
-                }
-            ),
+                    },
+                    est,
+                )
+            },
+        )
+}
+
+fn any_request() -> BoxedStrategy<Request> {
+    prop_oneof![
+        any_init(),
         (any::<u64>(), any_config_code(), 0..256usize, any_retry()).prop_map(
             |(id, config, instance, retry)| Request::Eval {
                 id,
@@ -205,6 +226,36 @@ proptest! {
             Response::decode(&payload),
             Err(WireError::Field(_))
         ));
+    }
+
+    /// An init frame that lacks a latency estimate, or carries a zero
+    /// one, is a typed field error: the worker would otherwise build a
+    /// base platform the coordinator never raced against.
+    #[test]
+    fn init_frames_without_usable_estimates_are_rejected(
+        init in any_init(),
+        key in 0..3usize,
+        drop_it in any::<bool>(),
+    ) {
+        let payload = init.encode();
+        prop_assert_eq!(&Request::decode(&payload).expect("valid init"), &init);
+        // The estimates are the frame's last fields, after every string.
+        let name = ["l1d", "l2", "dram"][key];
+        let start = payload.rfind(&format!(",\"{name}\":")).expect("estimate is encoded");
+        let end = payload[start + 1..]
+            .find([',', '}'])
+            .map_or(payload.len(), |i| start + 1 + i);
+        let replacement = if drop_it {
+            String::new()
+        } else {
+            format!(",\"{name}\":0")
+        };
+        let damaged = format!("{}{}{}", &payload[..start], replacement, &payload[end..]);
+        prop_assert!(
+            matches!(Request::decode(&damaged), Err(WireError::Field(_))),
+            "{} decoded",
+            damaged
+        );
     }
 
     /// Flipping `kind` to an unknown tag is typed, not silently coerced.
