@@ -6,10 +6,6 @@
 //! * simulator throughput (instructions per second) per kernel
 //!   category, best of three runs;
 //! * the end-to-end wall time of a `fig2_race`-style A53 tune;
-//! * the wall time of one staged racing iteration run sequentially and
-//!   again sharded over two spawned worker processes (the
-//!   `racesim-dist` coordinator path), so the snapshot tracks the
-//!   dispatch overhead of distributed campaigns;
 //! * the percent of fresh evaluations the static bounds engine avoids
 //!   on the pinned elimination scenario (`static_elim_pct`);
 //! * the self-profiler's phase breakdown (percent of profiled wall per
@@ -23,22 +19,17 @@
 //! baseline file and the process exits non-zero when any category
 //! regressed by more than the tolerance (default 25%) — the CI
 //! regression gate. Scale and budget come from `RACESIM_SCALE` /
-//! `RACESIM_BUDGET` as for every other experiment binary.
-//!
-//! The hidden `--dist-worker` flag turns this binary into a wire-serving
-//! evaluation worker; the distributed-tune timing spawns copies of
-//! itself in that mode so the measurement has no dependency on the CLI
-//! binary being built.
+//! `RACESIM_BUDGET` as for every other experiment binary. Distributed
+//! campaign timings come from the campaign benchmark's `a53-dist`
+//! workload (`perfbench/`), which drives the real `racesim worker`.
 
 use racesim_bench::{banner, validate, ExperimentConfig};
 use racesim_core::{CampaignSpec, Revision};
 use racesim_kernels::{microbench_suite, Scale};
-use racesim_race::{RacingTuner, TryCostFn};
 use racesim_sim::{Platform, Simulator};
 use racesim_telemetry::{Profiler, Telemetry};
 use racesim_uarch::CoreKind;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Throughput-measurement repetitions; the best (max) run is recorded so
@@ -50,10 +41,6 @@ struct Snapshot {
     /// category → best instructions per second.
     throughput: BTreeMap<String, f64>,
     tune_wall_ms: f64,
-    /// One staged racing iteration, evaluated in process.
-    dist_seq_wall_ms: f64,
-    /// The same iteration sharded over two spawned workers.
-    dist_tune_wall_ms: f64,
     /// Percent of fresh evaluations the static bounds engine avoided on
     /// the pinned elimination scenario (bounds-off evals vs bounds-on).
     static_elim_pct: f64,
@@ -69,14 +56,11 @@ impl Snapshot {
         };
         format!(
             "{{\"schema_version\":1,\"scale\":{},\"throughput\":{},\
-             \"tune_wall_ms\":{:.1},\"dist_seq_wall_ms\":{:.1},\
-             \"dist_tune_wall_ms\":{:.1},\"static_elim_pct\":{:.2},\
+             \"tune_wall_ms\":{:.1},\"static_elim_pct\":{:.2},\
              \"phases\":{}}}\n",
             self.scale,
             map(&self.throughput),
             self.tune_wall_ms,
-            self.dist_seq_wall_ms,
-            self.dist_tune_wall_ms,
             self.static_elim_pct,
             map(&self.phases)
         )
@@ -168,81 +152,15 @@ fn measure_phases(cfg: &ExperimentConfig) -> BTreeMap<String, f64> {
     out
 }
 
-/// Times one staged A53 racing iteration twice: evaluated in process,
-/// then sharded over `workers` spawned copies of this binary running in
-/// `--dist-worker` mode. Both runs share one `CampaignSpec`, so the
-/// pair isolates pure dispatch overhead (or speedup) — the campaign
-/// outcome is bit-identical by construction and asserted here.
-fn measure_dist_tune(cfg: &ExperimentConfig, workers: usize) -> (f64, f64) {
-    let spec = CampaignSpec {
-        kind: CoreKind::InOrder,
-        scale: cfg.scale,
-        // One iteration at a modest budget: enough evaluations to keep
-        // every worker busy, small enough for a CI-sized snapshot.
-        budget: cfg.budget.clamp(60, 400),
-        seed: cfg.seed,
-        threads: 1,
-        workers: 0,
-        max_iterations: Some(1),
-        static_bounds: false,
-        timeout_ms: None,
-        fault_profile: "none".to_string(),
-        fault_seed: 1,
-        frozen: Vec::new(),
-    };
-    let time_one = |pool_workers: usize| -> (f64, f64) {
-        let telemetry = Telemetry::disabled();
-        let stack = spec.build_stack(&telemetry).expect("campaign stack");
-        let n_instances = stack.cost.len();
-        let mut tuner = RacingTuner::new(spec.tuner_settings());
-        if pool_workers > 0 {
-            let exe = std::env::current_exe().expect("own binary path");
-            let argv = vec![exe.display().to_string(), "--dist-worker".to_string()];
-            let init = racesim_dist::InitSpec {
-                core: spec.core_name().to_string(),
-                scale: spec.scale.divisor(),
-                faults: spec.fault_profile.clone(),
-                fault_seed: spec.fault_seed,
-                timeout_ms: 0,
-                worker: 0,
-                static_bounds: false,
-            };
-            let pool = racesim_dist::WorkerPool::new(
-                Box::new(racesim_dist::ProcessLauncher::new(argv)),
-                racesim_dist::PoolOptions::new(pool_workers, init),
-                Arc::clone(&stack.cost) as Arc<dyn TryCostFn + Send + Sync>,
-                telemetry.clone(),
-            );
-            tuner = tuner.with_dispatch(Arc::new(pool));
-        }
-        let t0 = Instant::now();
-        let result = tuner.try_tune(&stack.space, &*stack.cost, n_instances);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert!(
-            result.best_cost.is_finite(),
-            "staged tune must reach a finite best cost"
-        );
-        (wall_ms, result.best_cost)
-    };
-    let (seq_ms, seq_cost) = time_one(0);
-    let (dist_ms, dist_cost) = time_one(workers);
-    assert_eq!(
-        seq_cost.to_bits(),
-        dist_cost.to_bits(),
-        "distributed tune must be bit-identical to sequential"
-    );
-    (seq_ms, dist_ms)
-}
-
 /// Runs the pinned static-elimination scenario twice — bounds on, then
 /// off — and returns the percent of fresh evaluations the bounds engine
 /// avoided. The scenario is pinned rather than taken from the
 /// environment: eliminations only fire when races are short enough for
 /// the incumbent's recorded prefix cost to dip under the bound ceiling,
 /// so the budget/scale/seed triple below is the same one the CI
-/// bounds-smoke job exercises. The frozen dimensions mirror what
-/// `racesim tune` freezes from the coverage matrix on the shipped
-/// suite, so the campaign here is the CLI campaign.
+/// bounds-smoke job exercises. `CampaignSpec::run` computes the coverage
+/// freeze the way `racesim tune` does, so the campaign here is the CLI
+/// campaign.
 fn measure_static_elim() -> f64 {
     let spec = |static_bounds: bool| CampaignSpec {
         kind: CoreKind::InOrder,
@@ -256,16 +174,7 @@ fn measure_static_elim() -> f64 {
         timeout_ms: None,
         fault_profile: "none".to_string(),
         fault_seed: 1,
-        frozen: [
-            "lat.int_div",
-            "lat.fp_div",
-            "lat.fp_sqrt",
-            "lat.fp_mov",
-            "lat.simd_mul",
-        ]
-        .iter()
-        .map(|p| ((*p).to_string(), "I0".to_string()))
-        .collect(),
+        frozen: Vec::new(),
     };
     let telemetry = Telemetry::disabled();
     let on = spec(true).run(&telemetry).expect("bounds-on tune");
@@ -287,15 +196,6 @@ fn measure_static_elim() -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Hidden worker mode: serve framed evaluation requests on
-    // stdin/stdout until the coordinator says shutdown.
-    if args.iter().any(|a| a == "--dist-worker") {
-        if let Err(e) = racesim_dist::serve_stdio(&racesim_dist::WorkerOptions::default()) {
-            eprintln!("dist worker: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
     let flag = |name: &str| {
         args.iter()
             .position(|a| a == name)
@@ -328,14 +228,6 @@ fn main() {
         outcome.tune.evals_used, outcome.tune.best_cost
     );
 
-    println!("timing one staged iteration, sequential vs 2 spawned workers...");
-    let (dist_seq_wall_ms, dist_tune_wall_ms) = measure_dist_tune(&cfg, 2);
-    println!(
-        "  sequential {dist_seq_wall_ms:.0} ms, distributed {dist_tune_wall_ms:.0} ms \
-         ({:.2}x, bit-identical outcome)",
-        dist_seq_wall_ms / dist_tune_wall_ms.max(1e-9)
-    );
-
     println!("measuring static-bounds elimination on the pinned scenario...");
     let static_elim_pct = measure_static_elim();
     println!("  {static_elim_pct:.2}% of fresh evaluations avoided");
@@ -347,8 +239,6 @@ fn main() {
             .unwrap_or(512),
         throughput,
         tune_wall_ms,
-        dist_seq_wall_ms,
-        dist_tune_wall_ms,
         static_elim_pct,
         phases,
     };

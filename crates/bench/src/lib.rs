@@ -92,10 +92,7 @@ impl ExperimentConfig {
 
 /// The board for a core kind.
 pub fn board_for(kind: CoreKind) -> ReferenceBoard {
-    match kind {
-        CoreKind::InOrder => ReferenceBoard::firefly_a53(),
-        CoreKind::OutOfOrder => ReferenceBoard::firefly_a72(),
-    }
+    ReferenceBoard::for_core(kind)
 }
 
 /// Runs the full validation for a core kind and revision.

@@ -24,7 +24,7 @@ use racesim_core::{
 use racesim_hw::{FaultPlan, HardwarePlatform, ReferenceBoard};
 use racesim_kernels::{microbench_suite, probes, spec_suite, Scale, Workload};
 use racesim_race::replay::{compare, RecordedCampaign, Verdict};
-use racesim_race::{RaceSettings, RacingTuner, TryCostFn, TunerSettings, Value, Watchdog};
+use racesim_race::{RaceSettings, TunerSettings};
 use racesim_sim::{config_text, Platform, Simulator};
 use racesim_telemetry::{parse_journal, read_journal_lossy, Event, JournalEntry, Telemetry};
 use racesim_uarch::CoreKind;
@@ -177,10 +177,11 @@ fn scale_of(flags: &HashMap<String, String>) -> Result<Scale, String> {
 }
 
 fn board_of(flags: &HashMap<String, String>) -> Result<ReferenceBoard, String> {
-    match flags.get("board").map(String::as_str) {
-        Some("a53") | None => Ok(ReferenceBoard::firefly_a53()),
-        Some("a72") => Ok(ReferenceBoard::firefly_a72()),
-        Some(v) => Err(format!("unknown board {v:?} (use a53 or a72)")),
+    match flags.get("board") {
+        None => Ok(ReferenceBoard::firefly_a53()),
+        Some(v) => CoreKind::from_name(v)
+            .map(ReferenceBoard::for_core)
+            .ok_or_else(|| format!("unknown board {v:?} (use a53 or a72)")),
     }
 }
 
@@ -289,15 +290,8 @@ fn cmd_config(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), String> {
-    let kind = match flags.get("core").map(String::as_str) {
-        Some("a53") | None => CoreKind::InOrder,
-        Some("a72") => CoreKind::OutOfOrder,
-        Some(v) => return Err(format!("unknown core {v:?} (use a53 or a72)")),
-    };
-    let board = match kind {
-        CoreKind::InOrder => ReferenceBoard::firefly_a53(),
-        CoreKind::OutOfOrder => ReferenceBoard::firefly_a72(),
-    };
+    let kind = core_of(flags)?;
+    let board = ReferenceBoard::for_core(kind);
     let budget = flags
         .get("budget")
         .map(|v| v.parse().map_err(|_| format!("invalid --budget {v:?}")))
@@ -383,10 +377,11 @@ fn cmd_worker(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn core_of(flags: &HashMap<String, String>) -> Result<CoreKind, String> {
-    match flags.get("core").map(String::as_str) {
-        Some("a53") | None => Ok(CoreKind::InOrder),
-        Some("a72") => Ok(CoreKind::OutOfOrder),
-        Some(v) => Err(format!("unknown core {v:?} (use a53 or a72)")),
+    match flags.get("core") {
+        None => Ok(CoreKind::InOrder),
+        Some(v) => {
+            CoreKind::from_name(v).ok_or_else(|| format!("unknown core {v:?} (use a53 or a72)"))
+        }
     }
 }
 
@@ -396,12 +391,6 @@ fn parse_u64(flags: &HashMap<String, String>, key: &str, default: u64) -> Result
         .map(|v| v.parse().map_err(|_| format!("invalid --{key} {v:?}")))
         .transpose()
         .map(|v| v.unwrap_or(default))
-}
-
-fn fault_plan_of(flags: &HashMap<String, String>) -> Result<Option<FaultPlan>, String> {
-    let seed = parse_u64(flags, "fault-seed", 1)?;
-    let profile = flags.get("faults").map_or("none", String::as_str);
-    FaultPlan::from_profile(profile, seed)
 }
 
 /// Flushes a telemetry journal when dropped, so every exit path of
@@ -475,7 +464,7 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
     };
     let _flush = FlushGuard(telemetry.clone());
 
-    if let Some(plan) = fault_plan_of(flags)? {
+    if let Some(plan) = FaultPlan::from_profile(&spec.fault_profile, spec.fault_seed)? {
         println!(
             "injecting faults: {:.0}% transient, {:.0}% dropped, {:.0}% spiked, {:.0}% hung",
             100.0 * plan.transient_rate,
@@ -484,61 +473,20 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
             100.0 * plan.hang_rate
         );
     }
-    let stack = spec.build_stack(&telemetry)?;
+    let stack = spec.prepare(&telemetry)?;
     let n_instances = stack.cost.len();
-
-    let mut tuner = RacingTuner::new(spec.tuner_settings()).with_telemetry(telemetry.clone());
-
     if let Some(b) = &stack.bounds {
-        tuner = tuner.with_static_bounds(Arc::clone(b) as _);
         println!(
             "static CPI bounds active over {} kernels: dominated configurations \
              are eliminated before simulation",
             b.kernels().len()
         );
     }
-
-    // Coverage-based pruning: a dimension no benchmark in the suite can
-    // statically observe cannot move the cost, so pin it to its default
-    // before any budget is spent. The dimension stays in the space (the
-    // model applier reads every parameter and checkpoint fingerprints
-    // must stay valid) — the sampler just never varies it.
-    let profiles: Vec<_> = stack
-        .suite
-        .iter()
-        .map(|w| racesim_analyzer::ir::profile(&w.name, &w.program))
-        .collect();
-    let matrix =
-        racesim_analyzer::coverage::CoverageMatrix::build(&stack.space, &profiles, &stack.base);
-    let defaults = stack.space.default_configuration();
-    let frozen: Vec<(usize, Value)> = matrix
-        .params
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.count() == 0)
-        .map(|(i, p)| {
-            println!(
-                "freezing `{}` at its default: no benchmark observes it (needs {})",
-                p.name,
-                p.requirement.describe()
-            );
-            (i, defaults.value(i))
-        })
-        .collect();
-    spec.set_frozen(&stack.space, &frozen);
-    if !frozen.is_empty() {
-        tuner = tuner.with_frozen(frozen);
+    for (param, _) in &spec.frozen {
+        println!("freezing `{param}` at its default: no benchmark observes it");
     }
 
-    // Record the campaign's deterministic inputs so `racesim replay` can
-    // rebuild the exact stack from the journal alone. Every segment
-    // (fresh or resumed) re-records them; the first occurrence wins on
-    // read, so a resume with drifted flags cannot silently rewrite them.
-    telemetry.emit(spec.config_event());
-    for ev in spec.frozen_events() {
-        telemetry.emit(ev);
-    }
-
+    let mut tuner = spec.tuner(&stack, &telemetry);
     if let Some(path) = flags.get("checkpoint") {
         tuner = tuner.with_checkpoint(path);
         println!("checkpointing to {path} after every iteration");
@@ -566,29 +514,14 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
                 vec![exe.display().to_string(), "worker".to_string()]
             }
         };
-        let init = racesim_dist::InitSpec {
-            core: spec.core_name().to_string(),
-            scale: spec.scale.divisor(),
-            faults: spec.fault_profile.clone(),
-            fault_seed: spec.fault_seed,
-            timeout_ms: spec.timeout_ms.unwrap_or(0),
-            worker: 0,
-            static_bounds: spec.static_bounds,
-        };
-        let mut pool_opts = racesim_dist::PoolOptions::new(spec.workers, init);
+        let mut pool_opts =
+            racesim_dist::PoolOptions::new(spec.workers, racesim_dist::InitSpec::of(&spec));
         pool_opts.request_timeout =
             Duration::from_millis(parse_u64(flags, "worker-timeout", 120_000)?);
-        let fallback: Arc<dyn TryCostFn + Send + Sync> = match spec.timeout_ms {
-            Some(ms) => Arc::new(Watchdog::new(
-                Arc::clone(&stack.cost) as Arc<dyn TryCostFn + Send + Sync>,
-                Duration::from_millis(ms),
-            )),
-            None => Arc::clone(&stack.cost) as Arc<dyn TryCostFn + Send + Sync>,
-        };
         let pool = racesim_dist::WorkerPool::new(
             Box::new(racesim_dist::ProcessLauncher::new(argv)),
             pool_opts,
-            fallback,
+            stack.eval(),
             telemetry.clone(),
         );
         tuner = tuner.with_dispatch(Arc::new(pool));
@@ -602,16 +535,7 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
         "tuning the {} model over {n_instances} benchmarks (budget {}, seed {:#x}) ...",
         spec.kind, spec.budget, spec.seed
     );
-    let result = match spec.timeout_ms {
-        Some(ms) => {
-            let dog = Watchdog::new(
-                Arc::clone(&stack.cost) as Arc<dyn TryCostFn + Send + Sync>,
-                Duration::from_millis(ms),
-            );
-            tuner.try_tune(&stack.space, &dog, n_instances)
-        }
-        None => tuner.try_tune(&stack.space, &*stack.cost, n_instances),
-    };
+    let result = tuner.try_tune(&stack.space, &*stack.eval(), n_instances);
 
     for w in &result.warnings {
         eprintln!("warning: {w}");
@@ -1285,28 +1209,17 @@ fn diff_side(
         // A platform config: simulate the fixed-revision suite on it.
         let platform =
             config_text::from_text(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-        let board = match kind {
-            CoreKind::InOrder => ReferenceBoard::firefly_a53(),
-            CoreKind::OutOfOrder => ReferenceBoard::firefly_a72(),
-        };
-        let settings = ValidatorSettings {
-            kind,
-            revision: Revision::Fixed,
-            scale,
-            tuner: TunerSettings::default(),
-            metric: racesim_core::CostMetric::CpiError,
-        };
-        let v = Validator::new(&board, settings);
-        let records = diff::capture_platform(&platform, v.decoder(), &v.suite())?;
+        let records = diff::capture_platform(
+            &platform,
+            Revision::Fixed.decoder(),
+            &Revision::Fixed.suite(scale),
+        )?;
         return Ok((path.clone(), records));
     }
     let revision = revision_of(flags, rev_key)?;
     let label = format!(
         "{}/{}",
-        match kind {
-            CoreKind::InOrder => "a53",
-            CoreKind::OutOfOrder => "a72",
-        },
+        kind.name(),
         match revision {
             Revision::Fixed => "fixed",
             Revision::Initial => "initial",
@@ -1502,10 +1415,11 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
 /// view for "why was configuration X dropped".
 fn cmd_bounds(flags: &HashMap<String, String>) -> Result<(), String> {
     let scale = scale_of(flags)?;
-    let (label, base) = match flags.get("core").map(String::as_str) {
-        Some("a53") | None => ("a53", Platform::a53_like()),
-        Some("a72") => ("a72", Platform::a72_like()),
-        Some(v) => return Err(format!("unknown core {v:?} (use a53 or a72)")),
+    let kind = core_of(flags)?;
+    let label = kind.name();
+    let base = match kind {
+        CoreKind::InOrder => Platform::a53_like(),
+        CoreKind::OutOfOrder => Platform::a72_like(),
     };
     let mut suite = racesim_kernels::microbench_suite_initialized(scale);
     suite.extend(spec_suite(scale));

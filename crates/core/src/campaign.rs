@@ -2,6 +2,11 @@
 //! records it into the telemetry journal) and `racesim replay` (which
 //! reconstructs it from that journal and re-runs it).
 //!
+//! Both run one assembly path: [`CampaignSpec::prepare`] builds the stack,
+//! computes the coverage freeze and journals the spec,
+//! [`CampaignSpec::tuner`] wires the tuner, and [`CampaignStack::eval`]
+//! is the cost every evaluation path races against.
+//!
 //! The spec captures exactly the inputs the campaign outcome is a
 //! deterministic function of: core, scale, budget, seed, thread count,
 //! watchdog timeout, fault plan, and the frozen dimensions. Everything
@@ -14,10 +19,11 @@ use crate::bounds::CampaignBounds;
 use crate::fallible::LazySuiteCost;
 use crate::latency::{estimated_platform, reference_estimates, LatencyEstimates};
 use crate::params::{build_space, Revision};
-use crate::validator::{CostMetric, Validator, ValidatorSettings};
+use crate::validator::CostMetric;
+use racesim_analyzer::coverage::CoverageMatrix;
 use racesim_hw::{FaultPlan, FaultyBoard, HardwarePlatform, ReferenceBoard};
 use racesim_kernels::{Scale, Workload};
-use racesim_race::replay::{decode_value, encode_value};
+use racesim_race::replay::encode_value;
 use racesim_race::{
     ParamSpace, RacingTuner, TryCostFn, TuneResult, TunerSettings, Value, Watchdog,
 };
@@ -80,15 +86,53 @@ pub struct CampaignStack {
     /// The static bounds engine, when the spec enables it. Built against
     /// the clean reference board so elimination decisions are replayable.
     pub bounds: Option<Arc<CampaignBounds>>,
+    /// The coverage freeze as `(dimension, default value)`; empty until
+    /// [`CampaignSpec::prepare`] computes it.
+    frozen: Vec<(usize, Value)>,
+    /// The spec's per-evaluation watchdog timeout.
+    timeout: Option<Duration>,
+}
+
+impl CampaignStack {
+    /// The cost function every evaluation path races against — the
+    /// tuner's own loop, a worker's serve loop and a pool's in-process
+    /// fallback: the lazy suite cost, behind a [`Watchdog`] when the
+    /// spec sets a per-evaluation timeout.
+    pub fn eval(&self) -> Arc<dyn TryCostFn + Send + Sync> {
+        let cost = Arc::clone(&self.cost) as Arc<dyn TryCostFn + Send + Sync>;
+        match self.timeout {
+            Some(timeout) => Arc::new(Watchdog::new(cost, timeout)),
+            None => cost,
+        }
+    }
+
+    /// The coverage freeze: a dimension no benchmark in the suite can
+    /// statically observe cannot move the cost, so it is pinned to its
+    /// default before any budget is spent. The dimension stays in the
+    /// space (the model applier reads every parameter and checkpoint
+    /// fingerprints must stay valid); the sampler just never varies it.
+    fn coverage_freeze(&self) -> Vec<(usize, Value)> {
+        let profiles: Vec<_> = self
+            .suite
+            .iter()
+            .map(|w| racesim_analyzer::ir::profile(&w.name, &w.program))
+            .collect();
+        let matrix = CoverageMatrix::build(&self.space, &profiles, &self.base);
+        let defaults = self.space.default_configuration();
+        matrix
+            .params
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.count() == 0)
+            .map(|(i, _)| (i, defaults.value(i)))
+            .collect()
+    }
 }
 
 impl CampaignSpec {
     /// The `--core` spelling of the spec's core.
     pub fn core_name(&self) -> &'static str {
-        match self.kind {
-            CoreKind::InOrder => "a53",
-            CoreKind::OutOfOrder => "a72",
-        }
+        self.kind.name()
     }
 
     /// The journal event recording this spec (`campaign_config`).
@@ -154,11 +198,8 @@ impl CampaignSpec {
                     static_bounds,
                     ..
                 } if config.is_none() => {
-                    let kind = match core.as_str() {
-                        "a53" => CoreKind::InOrder,
-                        "a72" => CoreKind::OutOfOrder,
-                        other => return Err(format!("campaign_config has unknown core {other:?}")),
-                    };
+                    let kind = CoreKind::from_name(core)
+                        .ok_or_else(|| format!("campaign_config has unknown core {core:?}"))?;
                     config = Some((
                         kind,
                         Scale::divide_by(*scale),
@@ -207,20 +248,7 @@ impl CampaignSpec {
 
     /// The reference board for the spec's core.
     pub fn board(&self) -> ReferenceBoard {
-        match self.kind {
-            CoreKind::InOrder => ReferenceBoard::firefly_a53(),
-            CoreKind::OutOfOrder => ReferenceBoard::firefly_a72(),
-        }
-    }
-
-    fn validator_settings(&self) -> ValidatorSettings {
-        ValidatorSettings {
-            kind: self.kind,
-            revision: Revision::Fixed,
-            scale: self.scale,
-            tuner: self.tuner_settings(),
-            metric: CostMetric::CpiError,
-        }
+        ReferenceBoard::for_core(self.kind)
     }
 
     /// The tuner settings this spec denotes.
@@ -261,12 +289,11 @@ impl CampaignSpec {
         telemetry: &Telemetry,
     ) -> Result<CampaignStack, String> {
         let board = self.board();
-        let settings = self.validator_settings();
-        let v = Validator::new(&board, settings.clone());
+        let metric = CostMetric::CpiError;
         let base = estimated_platform(self.kind, est);
-        let space = build_space(self.kind, settings.revision);
-        let decoder = v.decoder();
-        let suite = v.suite();
+        let space = build_space(self.kind, Revision::Fixed);
+        let decoder = Revision::Fixed.decoder();
+        let suite = Revision::Fixed.suite(self.scale);
         let tune_board: Arc<dyn HardwarePlatform> =
             match FaultPlan::from_profile(&self.fault_profile, self.fault_seed)? {
                 Some(plan) => Arc::new(
@@ -283,15 +310,14 @@ impl CampaignSpec {
                 &board,
                 &suite,
                 base.clone(),
-                settings.metric,
+                metric,
             )?))
         } else {
             None
         };
-        let mut cost =
-            LazySuiteCost::new(tune_board, &suite, base.clone(), decoder, settings.metric)
-                .map_err(|e| e.to_string())?
-                .with_telemetry(telemetry.clone());
+        let mut cost = LazySuiteCost::new(tune_board, &suite, base.clone(), decoder, metric)
+            .map_err(|e| e.to_string())?
+            .with_telemetry(telemetry.clone());
         if let Some(b) = &bounds {
             // Soundness gate: every simulated CPI must land inside its
             // static interval (debug builds assert; see fallible.rs).
@@ -303,22 +329,63 @@ impl CampaignSpec {
             suite,
             cost: Arc::new(cost),
             bounds,
+            frozen: Vec::new(),
+            timeout: self.timeout_ms.map(Duration::from_millis),
         })
     }
 
-    /// Decodes the spec's frozen dimensions against `space`.
+    /// Assembles the campaign the way every caller runs it: builds the
+    /// stack, computes the coverage freeze and records it in the spec,
+    /// then journals the spec (`campaign_config` and one `frozen` event
+    /// per pinned dimension) so `racesim replay` can rebuild it. Every
+    /// segment of a staged campaign re-records these; the first
+    /// occurrence wins on read.
+    ///
+    /// A spec that arrives with a `frozen` list (reconstructed from a
+    /// journal) must list exactly the dimensions this build freezes.
     ///
     /// # Errors
     ///
-    /// Rejects unknown parameters and codes that do not fit the domain.
-    pub fn decode_frozen(&self, space: &ParamSpace) -> Result<Vec<(usize, Value)>, String> {
-        self.frozen
+    /// Stack-assembly failures, and a recorded freeze that differs from
+    /// the computed one (the error names the differing parameters).
+    pub fn prepare(&mut self, telemetry: &Telemetry) -> Result<CampaignStack, String> {
+        let mut stack = self.build_stack(telemetry)?;
+        stack.frozen = stack.coverage_freeze();
+        let recorded = std::mem::take(&mut self.frozen);
+        self.set_frozen(&stack.space, &stack.frozen);
+        let mut differing: Vec<&str> = recorded
             .iter()
-            .map(|(param, code)| {
-                let v = decode_value(space, param, code)?;
-                Ok((space.index_of(param), v))
-            })
-            .collect()
+            .filter(|f| !self.frozen.contains(f))
+            .chain(self.frozen.iter().filter(|f| !recorded.contains(f)))
+            .map(|(param, _)| param.as_str())
+            .collect();
+        differing.sort_unstable();
+        differing.dedup();
+        if !recorded.is_empty() && !differing.is_empty() {
+            return Err(format!(
+                "recorded frozen dimensions differ from the coverage freeze: {}",
+                differing.join(", ")
+            ));
+        }
+        telemetry.emit(self.config_event());
+        for ev in self.frozen_events() {
+            telemetry.emit(ev);
+        }
+        Ok(stack)
+    }
+
+    /// The tuner for a prepared `stack`: the spec's settings, journaling
+    /// to `telemetry`, with the stack's static bounds and frozen
+    /// dimensions.
+    pub fn tuner(&self, stack: &CampaignStack, telemetry: &Telemetry) -> RacingTuner {
+        let mut tuner = RacingTuner::new(self.tuner_settings()).with_telemetry(telemetry.clone());
+        if let Some(b) = &stack.bounds {
+            tuner = tuner.with_static_bounds(Arc::clone(b) as _);
+        }
+        if !stack.frozen.is_empty() {
+            tuner = tuner.with_frozen(stack.frozen.clone());
+        }
+        tuner
     }
 
     /// Runs the campaign this spec describes from scratch and returns
@@ -327,29 +394,12 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// Propagates stack-assembly failures and bad frozen codes.
+    /// Propagates [`CampaignSpec::prepare`] failures.
     pub fn run(&self, telemetry: &Telemetry) -> Result<TuneResult, String> {
-        let stack = self.build_stack(telemetry)?;
-        let n_instances = stack.cost.len();
-        let mut tuner = RacingTuner::new(self.tuner_settings()).with_telemetry(telemetry.clone());
-        if let Some(b) = &stack.bounds {
-            tuner = tuner.with_static_bounds(Arc::clone(b) as _);
-        }
-        let frozen = self.decode_frozen(&stack.space)?;
-        if !frozen.is_empty() {
-            tuner = tuner.with_frozen(frozen);
-        }
-        let result = match self.timeout_ms {
-            Some(ms) => {
-                let dog = Watchdog::new(
-                    Arc::clone(&stack.cost) as Arc<dyn TryCostFn + Send + Sync>,
-                    Duration::from_millis(ms),
-                );
-                tuner.try_tune(&stack.space, &dog, n_instances)
-            }
-            None => tuner.try_tune(&stack.space, &*stack.cost, n_instances),
-        };
-        Ok(result)
+        let mut spec = self.clone();
+        let stack = spec.prepare(telemetry)?;
+        let tuner = spec.tuner(&stack, telemetry);
+        Ok(tuner.try_tune(&stack.space, &*stack.eval(), stack.cost.len()))
     }
 }
 
@@ -405,6 +455,70 @@ mod tests {
             },
             back
         );
+    }
+
+    /// The five latency dimensions no shipped micro-benchmark exercises.
+    const A53_FREEZE: [&str; 5] = [
+        "lat.int_div",
+        "lat.fp_div",
+        "lat.fp_sqrt",
+        "lat.fp_mov",
+        "lat.simd_mul",
+    ];
+
+    fn fresh_a53() -> CampaignSpec {
+        CampaignSpec {
+            workers: 0,
+            max_iterations: None,
+            static_bounds: false,
+            timeout_ms: None,
+            fault_profile: "none".to_string(),
+            frozen: Vec::new(),
+            ..spec()
+        }
+    }
+
+    #[test]
+    fn prepare_freezes_the_unobserved_dimensions_and_journals_them() {
+        let mut s = fresh_a53();
+        let t = Telemetry::in_memory();
+        let stack = s.prepare(&t).expect("prepares");
+        let names: Vec<&str> = s.frozen.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(names, A53_FREEZE);
+        assert_eq!(stack.frozen.len(), A53_FREEZE.len());
+        t.flush();
+        let (entries, errors) = racesim_telemetry::parse_journal(&t.lines().join("\n"));
+        assert!(errors.is_empty(), "{errors:?}");
+        let count = |ev: &str| entries.iter().filter(|e| e.event.name() == ev).count();
+        assert_eq!(count("campaign_config"), 1);
+        assert_eq!(count("frozen"), A53_FREEZE.len());
+    }
+
+    #[test]
+    fn prepare_rejects_a_recorded_freeze_that_differs() {
+        let mut computed = fresh_a53();
+        computed.prepare(&Telemetry::disabled()).expect("prepares");
+        let dropped = CampaignSpec {
+            frozen: computed.frozen[..1]
+                .iter()
+                .chain(&computed.frozen[2..])
+                .cloned()
+                .collect(),
+            ..computed.clone()
+        };
+        let err = dropped.run(&Telemetry::disabled()).unwrap_err();
+        assert!(err.contains("lat.fp_div"), "{err}");
+        let mut recoded = computed.clone();
+        recoded.frozen[0].1 = "I1".to_string();
+        let err = recoded.prepare(&Telemetry::disabled()).unwrap_err();
+        assert!(
+            err.contains("lat.int_div") && !err.contains("lat.fp_div"),
+            "{err}"
+        );
+        // The freeze it recorded itself verifies.
+        computed
+            .prepare(&Telemetry::disabled())
+            .expect("own freeze verifies");
     }
 
     #[test]

@@ -9,11 +9,9 @@
 //! the current build against it, which is how the CI perf/correctness
 //! gate detects a model change that silently shifts kernel timing.
 
+use crate::latency::{estimated_platform, reference_estimates};
 use crate::params::Revision;
-use crate::validator::{CostMetric, Validator, ValidatorSettings};
-use racesim_hw::ReferenceBoard;
 use racesim_kernels::{Scale, Workload};
-use racesim_race::TunerSettings;
 use racesim_sim::{Platform, SimOptions, Simulator};
 use racesim_uarch::CoreKind;
 use std::fmt::Write as _;
@@ -76,7 +74,9 @@ pub fn capture_platform(
 }
 
 /// Captures the micro-benchmark suite of one model revision on one core:
-/// latency-estimated base platform, revision-specific decoder and suite.
+/// latency-estimated base platform (from the memoised
+/// [`reference_estimates`], so a two-sided diff probes once), and the
+/// revision-specific decoder and suite.
 /// This is the DESIGN §6b axis — `Revision::Initial` vs `Revision::Fixed`
 /// differ in decoder quirks and uninitialised-array handling, and the
 /// diff pinpoints exactly which kernels those differences move.
@@ -89,22 +89,8 @@ pub fn capture_revision(
     revision: Revision,
     scale: Scale,
 ) -> Result<Vec<KernelCpi>, String> {
-    let board = match kind {
-        CoreKind::InOrder => ReferenceBoard::firefly_a53(),
-        CoreKind::OutOfOrder => ReferenceBoard::firefly_a72(),
-    };
-    let settings = ValidatorSettings {
-        kind,
-        revision,
-        scale,
-        tuner: TunerSettings::default(),
-        metric: CostMetric::CpiError,
-    };
-    let v = Validator::new(&board, settings);
-    let base = v.base_platform().map_err(|e| e.to_string())?;
-    let decoder = v.decoder();
-    let suite = v.suite();
-    capture_platform(&base, decoder, &suite)
+    let base = estimated_platform(kind, &reference_estimates(kind)?);
+    capture_platform(&base, revision.decoder(), &revision.suite(scale))
 }
 
 /// Serialises records to the baseline text format (exact integers only).

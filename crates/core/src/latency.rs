@@ -80,12 +80,14 @@ pub fn estimate_latencies(hw: &dyn HardwarePlatform) -> Result<LatencyEstimates,
 pub fn reference_estimates(kind: CoreKind) -> Result<LatencyEstimates, String> {
     static A53: OnceLock<Result<LatencyEstimates, String>> = OnceLock::new();
     static A72: OnceLock<Result<LatencyEstimates, String>> = OnceLock::new();
-    let (memo, board): (_, fn() -> ReferenceBoard) = match kind {
-        CoreKind::InOrder => (&A53, ReferenceBoard::firefly_a53),
-        CoreKind::OutOfOrder => (&A72, ReferenceBoard::firefly_a72),
+    let memo = match kind {
+        CoreKind::InOrder => &A53,
+        CoreKind::OutOfOrder => &A72,
     };
-    memo.get_or_init(|| estimate_latencies(&board()).map_err(|e| e.to_string()))
-        .clone()
+    memo.get_or_init(|| {
+        estimate_latencies(&ReferenceBoard::for_core(kind)).map_err(|e| e.to_string())
+    })
+    .clone()
 }
 
 /// Plugs the estimates into a platform (step 2's output feeding step 3).

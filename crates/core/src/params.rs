@@ -13,6 +13,8 @@
 //! handed to the racing tuner — and the mechanical `apply` that turns a
 //! tuner [`Configuration`] into a concrete [`Platform`].
 
+use racesim_decoder::{Decoder, Quirks};
+use racesim_kernels::{microbench_suite, microbench_suite_initialized, Scale, Workload};
 use racesim_mem::{IndexHash, PrefetchWhere, PrefetcherConfig, Replacement, TagAccess};
 use racesim_race::{Configuration, ParamSpace};
 use racesim_sim::Platform;
@@ -44,6 +46,24 @@ impl Revision {
     /// simulation in this revision.
     pub fn arrays_initialized(&self) -> bool {
         matches!(self, Revision::Fixed)
+    }
+
+    /// The decoder this revision simulates with.
+    pub fn decoder(&self) -> Decoder {
+        if self.decoder_fixed() {
+            Decoder::new()
+        } else {
+            Decoder::with_quirks(Quirks::capstone_like())
+        }
+    }
+
+    /// The micro-benchmark suite this revision tunes on.
+    pub fn suite(&self, scale: Scale) -> Vec<Workload> {
+        if self.arrays_initialized() {
+            microbench_suite_initialized(scale)
+        } else {
+            microbench_suite(scale)
+        }
     }
 }
 

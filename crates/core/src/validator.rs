@@ -3,9 +3,9 @@
 use crate::latency::{estimate_latencies, estimated_platform};
 use crate::params::{apply, best_guess, build_space, Revision};
 use racesim_analyzer::{Diagnostic, Severity};
-use racesim_decoder::{Decoder, Quirks};
+use racesim_decoder::Decoder;
 use racesim_hw::{HardwarePlatform, MeasureError, PerfCounters};
-use racesim_kernels::{microbench_suite, microbench_suite_initialized, Category, Scale, Workload};
+use racesim_kernels::{Category, Scale, Workload};
 use racesim_race::{
     Configuration, EvalError, ParamSpace, Pruner, RacingTuner, TryCostFn, TuneResult, TunerSettings,
 };
@@ -352,20 +352,12 @@ impl<'hw> Validator<'hw> {
 
     /// The decoder this revision uses.
     pub fn decoder(&self) -> Decoder {
-        if self.settings.revision.decoder_fixed() {
-            Decoder::new()
-        } else {
-            Decoder::with_quirks(Quirks::capstone_like())
-        }
+        self.settings.revision.decoder()
     }
 
     /// The micro-benchmark suite this revision tunes on.
     pub fn suite(&self) -> Vec<Workload> {
-        if self.settings.revision.arrays_initialized() {
-            microbench_suite_initialized(self.settings.scale)
-        } else {
-            microbench_suite(self.settings.scale)
-        }
+        self.settings.revision.suite(self.settings.scale)
     }
 
     /// The base platform after steps 1–2 (public information plus latency

@@ -37,6 +37,7 @@
 use std::io::{Read, Write};
 
 use racesim_core::latency::LatencyEstimates;
+use racesim_core::CampaignSpec;
 use racesim_race::{replay, Configuration, ParamSpace, RetryPolicy};
 use racesim_telemetry::json::{parse_object, Obj, Scalar};
 use racesim_uarch::CoreKind;
@@ -183,17 +184,28 @@ pub struct InitSpec {
 }
 
 impl InitSpec {
+    /// The handshake for `spec`'s campaign, addressed to slot 0 (the pool
+    /// re-addresses it per worker).
+    pub fn of(spec: &CampaignSpec) -> InitSpec {
+        InitSpec {
+            core: spec.core_name().to_string(),
+            scale: spec.scale.divisor(),
+            faults: spec.fault_profile.clone(),
+            fault_seed: spec.fault_seed,
+            timeout_ms: spec.timeout_ms.unwrap_or(0),
+            worker: 0,
+            static_bounds: spec.static_bounds,
+        }
+    }
+
     /// The core named by [`InitSpec::core`].
     ///
     /// # Errors
     ///
     /// Names other than `a53` and `a72`.
     pub fn core_kind(&self) -> Result<CoreKind, String> {
-        match self.core.as_str() {
-            "a53" => Ok(CoreKind::InOrder),
-            "a72" => Ok(CoreKind::OutOfOrder),
-            other => Err(format!("unknown core {other:?} (use a53 or a72)")),
-        }
+        CoreKind::from_name(&self.core)
+            .ok_or_else(|| format!("unknown core {:?} (use a53 or a72)", self.core))
     }
 }
 

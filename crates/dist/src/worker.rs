@@ -24,13 +24,12 @@
 
 use std::io::{Read, Write};
 use std::sync::Arc;
-use std::time::Duration;
 
 use racesim_core::latency::LatencyEstimates;
 use racesim_core::CampaignSpec;
 use racesim_hw::FaultPlan;
 use racesim_kernels::Scale;
-use racesim_race::{eval_with_retry, ParamSpace, TryCostFn, Watchdog};
+use racesim_race::{eval_with_retry, ParamSpace, TryCostFn};
 use racesim_telemetry::Telemetry;
 
 use crate::wire::{
@@ -203,15 +202,10 @@ pub fn campaign_stack(init: &InitSpec, est: &LatencyEstimates) -> Result<WorkerS
         static_bounds: init.static_bounds,
     };
     let stack = spec.build_stack_from(est, &Telemetry::disabled())?;
-    let n_instances = stack.cost.len();
-    let cost: Arc<dyn TryCostFn + Send + Sync> = match spec.timeout_ms {
-        Some(ms) => Arc::new(Watchdog::new(stack.cost, Duration::from_millis(ms))),
-        None => stack.cost,
-    };
     Ok(WorkerStack {
+        cost: stack.eval(),
+        n_instances: stack.cost.len(),
         space: stack.space,
-        cost,
-        n_instances,
     })
 }
 

@@ -10,6 +10,7 @@ use racesim_sim::{Platform, SimError, SimOptions, Simulator};
 use racesim_telemetry::{Counter, Histogram, Telemetry};
 use racesim_trace::TraceBuffer;
 use racesim_uarch::branch::{DirPredictorConfig, IndirectPredictorConfig};
+use racesim_uarch::CoreKind;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -205,6 +206,15 @@ impl ReferenceBoard {
             hidden: hidden_a72(),
             effects: SystemEffects::big_cluster(),
             metrics: BoardMetrics::default(),
+        }
+    }
+
+    /// The reference board of `kind`: [`ReferenceBoard::firefly_a53`] or
+    /// [`ReferenceBoard::firefly_a72`].
+    pub fn for_core(kind: CoreKind) -> ReferenceBoard {
+        match kind {
+            CoreKind::InOrder => ReferenceBoard::firefly_a53(),
+            CoreKind::OutOfOrder => ReferenceBoard::firefly_a72(),
         }
     }
 

@@ -110,8 +110,8 @@ pub struct Simulator {
 ///     core           per-cause stall cycles from the core model
 /// ```
 ///
-/// The unprofiled path is untouched: `run_records` branches once on
-/// [`SimProf::on`] and otherwise runs the exact pre-profiler loop.
+/// Profiled and unprofiled runs share one replay loop; only a profiled
+/// run reads the clock.
 #[derive(Debug, Clone, Default)]
 struct SimProf {
     profiler: Profiler,
@@ -150,9 +150,9 @@ impl SimProf {
     }
 }
 
-/// Records per timing chunk in the profiled path: two clock reads per
-/// chunk keep the timing overhead amortised to well under a nanosecond
-/// per instruction.
+/// Records per replay chunk: when profiling, two clock reads per chunk
+/// keep the timing overhead amortised to well under a nanosecond per
+/// instruction.
 const PROFILE_CHUNK: usize = 2048;
 
 /// Telemetry handles resolved once at attach time, so each run pays only
@@ -214,11 +214,11 @@ impl Simulator {
         self
     }
 
-    /// Attaches a self-profiler: runs switch to a chunked, per-phase
-    /// timed replay that attributes wall time to `simulate` → `fetch` /
-    /// `decode` / `execute` / `mem` phases and feeds the core model's
-    /// stall-cycle attribution into a `core` sub-tree. With a disabled
-    /// `profiler` the pre-profiler replay loop runs unchanged.
+    /// Attaches a self-profiler: runs time each replay chunk and
+    /// attribute wall time to `simulate` → `fetch` / `decode` /
+    /// `execute` / `mem` phases, and feed the core model's stall-cycle
+    /// attribution into a `core` sub-tree. With a disabled `profiler`
+    /// the replay never reads the clock.
     pub fn with_profiler(mut self, profiler: Profiler) -> Simulator {
         self.prof = if profiler.is_enabled() {
             SimProf::new(profiler)
@@ -277,11 +277,7 @@ impl Simulator {
             });
         }
 
-        if profiled {
-            self.replay_profiled(core.as_mut(), &mut mem, records)?;
-        } else {
-            self.replay(core.as_mut(), &mut mem, records)?;
-        }
+        self.replay(core.as_mut(), &mut mem, records)?;
         let stats = SimStats {
             core: core.stats(),
             mem: mem.stats(),
@@ -328,44 +324,23 @@ impl Simulator {
         }
     }
 
-    /// The unprofiled replay loop: byte-for-byte the pre-profiler hot
-    /// path (the `decode` timer inside `decode_cached` is dead here).
+    /// The replay loop. Each [`PROFILE_CHUNK`] of records is decoded
+    /// (through the decode cache) into `DynInst`s and then consumed in
+    /// order. When profiling, fetch and execute are timed per chunk so
+    /// clock reads amortise to a negligible per-instruction cost;
+    /// otherwise the clock is never read.
     fn replay(
         &self,
         core: &mut dyn CoreModel,
         mem: &mut MemoryHierarchy,
         records: &[TraceRecord],
     ) -> Result<(), SimError> {
+        let clock = || self.prof.on().then(Instant::now);
+        let since = |t: Option<Instant>| t.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let mut decode_cache: HashMap<EncodedInst, StaticInst> = HashMap::new();
-        for r in records {
-            let stat = self.decode_cached(&mut decode_cache, r)?;
-            let dyn_inst = DynInst {
-                pc: r.pc(),
-                stat,
-                ea: r.ea().unwrap_or(0),
-                taken: r.taken(),
-                target: r.target().unwrap_or(0),
-            };
-            core.consume(&dyn_inst, mem);
-        }
-        core.finish(mem);
-        Ok(())
-    }
-
-    /// The profiled replay loop: identical simulation semantics (same
-    /// per-record decode/consume order), but fetch and execute are
-    /// timed per [`PROFILE_CHUNK`]-record chunk so clock reads amortise
-    /// to a negligible per-instruction cost.
-    fn replay_profiled(
-        &self,
-        core: &mut dyn CoreModel,
-        mem: &mut MemoryHierarchy,
-        records: &[TraceRecord],
-    ) -> Result<(), SimError> {
-        let mut decode_cache: HashMap<EncodedInst, StaticInst> = HashMap::new();
-        let mut dyn_insts: Vec<DynInst> = Vec::with_capacity(PROFILE_CHUNK);
+        let mut dyn_insts: Vec<DynInst> = Vec::with_capacity(PROFILE_CHUNK.min(records.len()));
         for chunk in records.chunks(PROFILE_CHUNK) {
-            let t0 = Instant::now();
+            let t0 = clock();
             dyn_insts.clear();
             for r in chunk {
                 let stat = self.decode_cached(&mut decode_cache, r)?;
@@ -377,20 +352,16 @@ impl Simulator {
                     target: r.target().unwrap_or(0),
                 });
             }
-            self.prof
-                .fetch
-                .add(chunk.len() as u64, t0.elapsed().as_nanos() as u64);
-            let t1 = Instant::now();
+            self.prof.fetch.add(chunk.len() as u64, since(t0));
+            let t1 = clock();
             for dyn_inst in &dyn_insts {
                 core.consume(dyn_inst, mem);
             }
-            self.prof
-                .execute
-                .add(chunk.len() as u64, t1.elapsed().as_nanos() as u64);
+            self.prof.execute.add(chunk.len() as u64, since(t1));
         }
-        let t2 = Instant::now();
+        let t2 = clock();
         core.finish(mem);
-        self.prof.execute.add(0, t2.elapsed().as_nanos() as u64);
+        self.prof.execute.add(0, since(t2));
         Ok(())
     }
 }

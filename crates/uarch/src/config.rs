@@ -13,6 +13,23 @@ pub enum CoreKind {
     OutOfOrder,
 }
 
+impl CoreKind {
+    /// The `--core` spelling: `a53` (in-order) or `a72` (out-of-order).
+    pub fn name(self) -> &'static str {
+        match self {
+            CoreKind::InOrder => "a53",
+            CoreKind::OutOfOrder => "a72",
+        }
+    }
+
+    /// Parses a `--core` spelling; the inverse of [`CoreKind::name`].
+    pub fn from_name(name: &str) -> Option<CoreKind> {
+        [CoreKind::InOrder, CoreKind::OutOfOrder]
+            .into_iter()
+            .find(|k| k.name() == name)
+    }
+}
+
 impl std::fmt::Display for CoreKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -223,5 +240,15 @@ mod tests {
     fn kind_displays() {
         assert_eq!(CoreKind::InOrder.to_string(), "in-order");
         assert_eq!(CoreKind::OutOfOrder.to_string(), "out-of-order");
+    }
+
+    #[test]
+    fn names_roundtrip() {
+        for kind in [CoreKind::InOrder, CoreKind::OutOfOrder] {
+            assert_eq!(CoreKind::from_name(kind.name()), Some(kind));
+        }
+        assert_eq!(CoreKind::InOrder.name(), "a53");
+        assert_eq!(CoreKind::OutOfOrder.name(), "a72");
+        assert_eq!(CoreKind::from_name("a57"), None);
     }
 }

@@ -108,3 +108,39 @@ fn golden_journal_survives_a_torn_tail() {
     let (full, _) = racesim::telemetry::parse_journal_lossy(&text);
     assert_eq!(entries.len(), full.len() - 1, "only the torn line is lost");
 }
+
+/// Replays the fixture with its `frozen` events edited by `edit`
+/// (return `false` to drop an event) and returns the replay error.
+fn replay_with_edited_freeze(edit: impl Fn(&mut String, &mut String) -> bool) -> String {
+    let (mut entries, _) = read_journal_lossy(&fixture()).expect("fixture readable");
+    entries.retain_mut(|e| match &mut e.event {
+        Event::Frozen { param, code } => edit(param, code),
+        _ => true,
+    });
+    let spec = CampaignSpec::from_journal(&entries).expect("spec reconstructible");
+    spec.run(&Telemetry::disabled())
+        .expect_err("a tampered freeze must not replay")
+}
+
+#[test]
+fn golden_campaign_rejects_a_dropped_frozen_dimension() {
+    // The fixture records every frozen dimension in both segments; drop
+    // one parameter's events from both.
+    let err = replay_with_edited_freeze(|param, _| param != "lat.fp_div");
+    assert!(err.contains("lat.fp_div"), "{err}");
+}
+
+#[test]
+fn golden_campaign_rejects_a_recoded_frozen_dimension() {
+    let err = replay_with_edited_freeze(|param, code| {
+        if param == "lat.fp_sqrt" {
+            *code = "I1".to_string();
+        }
+        true
+    });
+    assert!(err.contains("lat.fp_sqrt"), "{err}");
+    assert!(
+        !err.contains("lat.fp_div"),
+        "names only the re-coded one: {err}"
+    );
+}
