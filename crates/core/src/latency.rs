@@ -20,6 +20,7 @@
 use std::sync::OnceLock;
 
 use racesim_hw::{HardwarePlatform, MeasureError, ReferenceBoard};
+use racesim_isa::InstClass;
 use racesim_kernels::probes;
 use racesim_sim::Platform;
 use racesim_uarch::CoreKind;
@@ -40,11 +41,16 @@ fn probe_latency(hw: &dyn HardwarePlatform, size_kb: u32) -> Result<f64, Measure
     let w = probes::lat_mem_rd(size_kb, 64);
     let trace = w.trace()?;
     let counters = hw.measure_trace(&w.name, &trace, false)?;
-    let summary = trace.summary();
+    // The same count as `TraceSummary::loads`, without the summary's
+    // distinct-pc set.
+    let loads = trace
+        .iter()
+        .filter(|r| r.word().opcode().map(|op| op.class()) == Some(InstClass::Load))
+        .count();
     // The probe is four dependent loads plus two loop instructions per
     // iteration; the loop overhead dual-issues under the loads, so
     // cycles/load converges on the load-to-use latency.
-    Ok(counters.cycles as f64 / summary.loads as f64)
+    Ok(counters.cycles as f64 / loads as f64)
 }
 
 /// Runs the probe ladder on the platform and derives the three latency
@@ -141,6 +147,17 @@ mod tests {
             "DRAM estimate: {}",
             est.dram
         );
+    }
+
+    #[test]
+    fn probe_load_count_matches_the_trace_summary() {
+        // `probe_latency` divides by its own load count; it must be the
+        // summary's, or every estimate moves.
+        let board = ReferenceBoard::firefly_a53();
+        let trace = probes::lat_mem_rd(8, 64).trace().unwrap();
+        let counters = board.measure_trace("lat_mem_rd_8k", &trace, false).unwrap();
+        let per_load = counters.cycles as f64 / trace.summary().loads as f64;
+        assert_eq!(probe_latency(&board, 8).unwrap(), per_load);
     }
 
     #[test]

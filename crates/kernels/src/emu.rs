@@ -54,9 +54,21 @@ impl fmt::Display for EmuError {
 impl std::error::Error for EmuError {}
 
 /// Sparse, paged, byte-addressed memory. Unmapped reads return zero.
+///
+/// Accesses are page-granular: an access that stays inside one page looks
+/// the page up once and copies its bytes; only an access that straddles a
+/// page boundary falls back to one lookup per byte.
 #[derive(Debug, Default)]
 pub struct PagedMem {
     pages: HashMap<u64, Box<[u8; PAGE_BYTES]>>,
+}
+
+/// Splits an address into its page number and the offset inside the page.
+fn split(addr: u64) -> (u64, usize) {
+    (
+        addr / PAGE_BYTES as u64,
+        (addr % PAGE_BYTES as u64) as usize,
+    )
 }
 
 impl PagedMem {
@@ -73,32 +85,54 @@ impl PagedMem {
 
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        let page = addr / PAGE_BYTES as u64;
-        match self.pages.get(&page) {
-            Some(p) => p[(addr % PAGE_BYTES as u64) as usize],
-            None => 0,
-        }
+        let (page, off) = split(addr);
+        self.pages.get(&page).map_or(0, |p| p[off])
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, v: u8) {
-        let page = addr / PAGE_BYTES as u64;
-        self.page_mut(page)[(addr % PAGE_BYTES as u64) as usize] = v;
+        let (page, off) = split(addr);
+        self.page_mut(page)[off] = v;
     }
 
     /// Reads `n <= 8` bytes little-endian.
     pub fn read_le(&self, addr: u64, n: u64) -> u64 {
-        let mut v = 0u64;
-        for i in 0..n {
-            v |= (self.read_u8(addr + i) as u64) << (8 * i);
+        let (page, off) = split(addr);
+        let n = n as usize;
+        if off + n > PAGE_BYTES {
+            return (0..n).fold(0, |v, i| {
+                v | (self.read_u8(addr.wrapping_add(i as u64)) as u64) << (8 * i)
+            });
         }
-        v
+        let mut bytes = [0u8; 8];
+        if let Some(p) = self.pages.get(&page) {
+            bytes[..n].copy_from_slice(&p[off..off + n]);
+        }
+        u64::from_le_bytes(bytes)
     }
 
     /// Writes `n <= 8` bytes little-endian.
     pub fn write_le(&mut self, addr: u64, n: u64, v: u64) {
-        for i in 0..n {
-            self.write_u8(addr + i, (v >> (8 * i)) as u8);
+        let (page, off) = split(addr);
+        let n = n as usize;
+        if off + n > PAGE_BYTES {
+            for i in 0..n {
+                self.write_u8(addr.wrapping_add(i as u64), (v >> (8 * i)) as u8);
+            }
+        } else if n > 0 {
+            self.page_mut(page)[off..off + n].copy_from_slice(&v.to_le_bytes()[..n]);
+        }
+    }
+
+    /// Copies `bytes` to `addr` one page-sized chunk at a time (the data
+    /// image load). Every page the range touches is mapped.
+    fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let (page, off) = split(addr);
+            let (chunk, rest) = bytes.split_at(bytes.len().min(PAGE_BYTES - off));
+            self.page_mut(page)[off..off + chunk.len()].copy_from_slice(chunk);
+            addr = addr.wrapping_add(chunk.len() as u64);
+            bytes = rest;
         }
     }
 
@@ -132,9 +166,7 @@ impl<'p> Machine<'p> {
     pub fn new(program: &'p Program) -> Machine<'p> {
         let mut mem = PagedMem::new();
         for (addr, bytes) in &program.data {
-            for (i, b) in bytes.iter().enumerate() {
-                mem.write_u8(addr + i as u64, *b);
-            }
+            mem.write_bytes(*addr, bytes);
         }
         let mut x = [0u64; 33];
         x[Reg::SP.index()] = DEFAULT_STACK_TOP;

@@ -7,7 +7,7 @@
 //! handshake. These tests pin both shortcuts to the plain
 //! `estimate_latencies` / `Validator::base_platform` path, on both cores.
 
-use racesim::core::latency::{estimate_latencies, reference_estimates};
+use racesim::core::latency::{estimate_latencies, reference_estimates, LatencyEstimates};
 use racesim::core::{CampaignSpec, CostMetric, Revision};
 use racesim::prelude::*;
 use racesim::telemetry::Telemetry;
@@ -29,9 +29,12 @@ fn spec(kind: CoreKind) -> CampaignSpec {
     }
 }
 
-fn memoised_path_matches_the_probing_path(kind: CoreKind) {
+fn memoised_path_matches_the_probing_path(kind: CoreKind, pinned: LatencyEstimates) {
     let spec = spec(kind);
     let fresh = estimate_latencies(&spec.board()).expect("probes run");
+    // The exact estimates of the reference board: a change to the
+    // emulator, the board or the probe ladder must not move them.
+    assert_eq!(fresh, pinned, "{kind:?} pinned estimates");
     assert_eq!(reference_estimates(kind), Ok(fresh), "{kind:?} estimates");
     // A second call hits the memo and must not drift either.
     assert_eq!(reference_estimates(kind), Ok(fresh), "{kind:?} memo");
@@ -52,10 +55,20 @@ fn memoised_path_matches_the_probing_path(kind: CoreKind) {
 
 #[test]
 fn a53_reference_estimates_match_a_fresh_probe_run() {
-    memoised_path_matches_the_probing_path(CoreKind::InOrder);
+    let pinned = LatencyEstimates {
+        l1d: 3,
+        l2: 23,
+        dram: 202,
+    };
+    memoised_path_matches_the_probing_path(CoreKind::InOrder, pinned);
 }
 
 #[test]
 fn a72_reference_estimates_match_a_fresh_probe_run() {
-    memoised_path_matches_the_probing_path(CoreKind::OutOfOrder);
+    let pinned = LatencyEstimates {
+        l1d: 4,
+        l2: 28,
+        dram: 221,
+    };
+    memoised_path_matches_the_probing_path(CoreKind::OutOfOrder, pinned);
 }
