@@ -57,8 +57,8 @@ COMMANDS:
                                   platform configs, or saved baselines (the regression gate)
     profile                       self-profile the simulator: per-kernel phase tree of where
                                   wall time goes (fetch/decode/execute, memory levels, stalls)
-    bounds                        static CPI intervals of every kernel on a platform preset —
-                                  the intervals `tune --static-bounds` eliminates against
+    bounds                        static CPI intervals of every kernel on a platform preset,
+                                  by abstract interpretation (no simulation, no board)
     lint                          statically check platforms, parameter spaces and kernels
     help                          show this message
 
@@ -97,9 +97,6 @@ TUNE OPTIONS:
     --faults <none|transient|aggressive>
                                   inject deterministic board faults into the tune measurements
     --fault-seed <N>              seed of the fault plan (default 1)
-    --static-bounds               eliminate configurations whose static CPI-bound cost
-                                  floor exceeds the incumbent elite, before simulating
-                                  them (journaled; replay verifies the eliminations)
     --telemetry <FILE>            journal campaign events and metrics as JSONL (appends when
                                   resuming an existing journal; see `racesim report`)
     --workers <N>                 shard evaluations over N spawned worker processes; results
@@ -143,7 +140,9 @@ PROFILE OPTIONS:
 ";
 
 /// Flags that take no value. `--suite` is boolean only for `lint`; for
-/// `profile` it takes a suite name.
+/// `profile` it takes a suite name. The removed `--static-bounds` stays
+/// parseable so `tune` rejects it by name instead of misreading the
+/// next argument as its value.
 const BOOL_FLAGS: &[&str] = &["json", "static-bounds"];
 const LINT_BOOL_FLAGS: &[&str] = &["json", "suite", "deny-warnings"];
 
@@ -475,13 +474,6 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     let stack = spec.prepare(&telemetry)?;
     let n_instances = stack.cost.len();
-    if let Some(b) = &stack.bounds {
-        println!(
-            "static CPI bounds active over {} kernels: dominated configurations \
-             are eliminated before simulation",
-            b.kernels().len()
-        );
-    }
     for (param, _) in &spec.frozen {
         println!("freezing `{param}` at its default: no benchmark observes it");
     }
@@ -547,12 +539,6 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
         "best cost: {:.2}% mean CPI error ({} evaluations, {} retries, {} configurations failed)",
         result.best_cost, result.evals_used, result.retries, result.failed_configs
     );
-    if result.static_eliminated > 0 {
-        println!(
-            "static bounds eliminated {} configuration(s) without simulation",
-            result.static_eliminated
-        );
-    }
     for (instance, reason) in &result.quarantined {
         println!(
             "quarantined instance {instance} ({}): {reason}",
@@ -699,12 +685,6 @@ impl CampaignSummary {
                 } => s
                     .eliminations
                     .push((kind.clone(), *after_blocks, config.clone())),
-                Event::StaticEliminated { config, .. } => {
-                    // Folded into the elimination stream: statically
-                    // eliminated configs never raced, so zero blocks.
-                    s.eliminations
-                        .push(("static".to_string(), 0, config.clone()));
-                }
                 Event::Quarantine { instance, reason } => {
                     s.quarantines.push((instance.clone(), reason.clone()));
                 }
@@ -1410,9 +1390,8 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// `racesim bounds`: the static CPI interval of every kernel on a
 /// platform preset, from abstract interpretation over the kernel IR —
-/// no simulation, no board. These are the intervals `tune
-/// --static-bounds` eliminates against, so this is also the debugging
-/// view for "why was configuration X dropped".
+/// no simulation, no board. `prop_bounds_soundness` checks every
+/// interval against the simulator on both cores.
 fn cmd_bounds(flags: &HashMap<String, String>) -> Result<(), String> {
     let scale = scale_of(flags)?;
     let kind = core_of(flags)?;

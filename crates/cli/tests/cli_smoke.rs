@@ -123,7 +123,53 @@ fn tune_with_telemetry_then_report() {
     assert!(json.contains("\"segments\":1"), "{json}");
     assert!(json.contains("\"counters\":{"), "{json}");
 
+    // A line of an event this build no longer knows (journals recorded
+    // with the removed `--static-bounds` carry them) is a warning, not a
+    // failure.
+    let text = std::fs::read_to_string(&journal).expect("journal readable");
+    let old = r#"{"t":1,"ev":"static_eliminated","config":"C1","iteration":0,"lower_bound":4.5,"incumbent_cost":3.5}"#;
+    std::fs::write(&journal, format!("{old}\n{text}")).expect("journal rewritten");
+    let out = racesim(&["report", &journal_s]);
+    assert!(out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown event type \"static_eliminated\""),
+        "{err}"
+    );
+
+    // A journal recorded with static elimination on is rejected by name,
+    // not reported as a divergence.
+    let on = text.replace("\"static_bounds\":false", "\"static_bounds\":true");
+    assert_ne!(on, text, "the journal records the key");
+    std::fs::write(&journal, on).expect("journal rewritten");
+    let out = racesim(&["replay", &journal_s]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("`--static-bounds`") && err.contains("removed"),
+        "{err}"
+    );
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("diverged"));
+
     let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn tune_rejects_the_removed_static_bounds_flag_by_name() {
+    let out = racesim(&[
+        "tune",
+        "--core",
+        "a53",
+        "--scale",
+        "32768",
+        "--static-bounds",
+    ]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("`--static-bounds`") && err.contains("removed"),
+        "{err}"
+    );
 }
 
 #[test]

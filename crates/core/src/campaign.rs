@@ -15,7 +15,6 @@
 //! sides. The model revision is pinned to [`Revision::Fixed`] — `tune`
 //! always drives the fixed model.
 
-use crate::bounds::CampaignBounds;
 use crate::fallible::LazySuiteCost;
 use crate::latency::{estimated_platform, reference_estimates, LatencyEstimates};
 use crate::params::{build_space, Revision};
@@ -54,10 +53,10 @@ pub struct CampaignSpec {
     pub workers: usize,
     /// Iteration cap for staged runs (`None` = run to completion).
     pub max_iterations: Option<usize>,
-    /// Whether the static CPI bounds engine pre-eliminates provably
-    /// dominated configurations each iteration. Semantic: eliminations
-    /// change which configurations race, so replay re-runs with the
-    /// recorded setting and verifies the `static_eliminated` events.
+    /// Must be false. Tuner-side static elimination (`--static-bounds`)
+    /// was removed; the field stays so journals and worker handshakes
+    /// keep their bytes, and [`CampaignSpec::build_stack_from`] rejects
+    /// `true`.
     pub static_bounds: bool,
     /// Per-evaluation watchdog timeout in milliseconds.
     pub timeout_ms: Option<u64>,
@@ -83,9 +82,6 @@ pub struct CampaignStack {
     pub suite: Vec<Workload>,
     /// The fallible cost function over the suite.
     pub cost: Arc<LazySuiteCost>,
-    /// The static bounds engine, when the spec enables it. Built against
-    /// the clean reference board so elimination decisions are replayable.
-    pub bounds: Option<Arc<CampaignBounds>>,
     /// The coverage freeze as `(dimension, default value)`; empty until
     /// [`CampaignSpec::prepare`] computes it.
     frozen: Vec<(usize, Value)>,
@@ -282,13 +278,21 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// Propagates measurement failures and unknown fault profiles.
+    /// Propagates measurement failures and unknown fault profiles, and
+    /// rejects a spec with `static_bounds` set — the one check that
+    /// covers `tune`, `replay` and the distributed worker.
     pub fn build_stack_from(
         &self,
         est: &LatencyEstimates,
         telemetry: &Telemetry,
     ) -> Result<CampaignStack, String> {
-        let board = self.board();
+        if self.static_bounds {
+            return Err(
+                "static elimination (`--static-bounds`) was removed from the tuner; \
+                 `racesim bounds` still reports the static CPI intervals"
+                    .to_string(),
+            );
+        }
         let metric = CostMetric::CpiError;
         let base = estimated_platform(self.kind, est);
         let space = build_space(self.kind, Revision::Fixed);
@@ -302,33 +306,14 @@ impl CampaignSpec {
                 ),
                 None => Arc::new(self.board().with_telemetry(telemetry.clone())),
             };
-        // The bounds engine measures on the clean board (never the
-        // fault-injected one): the cached hardware CPIs must be a pure
-        // function of the suite for eliminations to replay bit-for-bit.
-        let bounds = if self.static_bounds {
-            Some(Arc::new(CampaignBounds::measure(
-                &board,
-                &suite,
-                base.clone(),
-                metric,
-            )?))
-        } else {
-            None
-        };
-        let mut cost = LazySuiteCost::new(tune_board, &suite, base.clone(), decoder, metric)
+        let cost = LazySuiteCost::new(tune_board, &suite, base.clone(), decoder, metric)
             .map_err(|e| e.to_string())?
             .with_telemetry(telemetry.clone());
-        if let Some(b) = &bounds {
-            // Soundness gate: every simulated CPI must land inside its
-            // static interval (debug builds assert; see fallible.rs).
-            cost = cost.with_bounds_check(b.kernels().to_vec());
-        }
         Ok(CampaignStack {
             space,
             base,
             suite,
             cost: Arc::new(cost),
-            bounds,
             frozen: Vec::new(),
             timeout: self.timeout_ms.map(Duration::from_millis),
         })
@@ -375,13 +360,9 @@ impl CampaignSpec {
     }
 
     /// The tuner for a prepared `stack`: the spec's settings, journaling
-    /// to `telemetry`, with the stack's static bounds and frozen
-    /// dimensions.
+    /// to `telemetry`, with the stack's frozen dimensions.
     pub fn tuner(&self, stack: &CampaignStack, telemetry: &Telemetry) -> RacingTuner {
         let mut tuner = RacingTuner::new(self.tuner_settings()).with_telemetry(telemetry.clone());
-        if let Some(b) = &stack.bounds {
-            tuner = tuner.with_static_bounds(Arc::clone(b) as _);
-        }
         if !stack.frozen.is_empty() {
             tuner = tuner.with_frozen(stack.frozen.clone());
         }
@@ -416,7 +397,7 @@ mod tests {
             threads: 1,
             workers: 2,
             max_iterations: Some(1),
-            static_bounds: true,
+            static_bounds: false,
             timeout_ms: Some(60_000),
             fault_profile: "transient".to_string(),
             fault_seed: 7,
@@ -470,7 +451,6 @@ mod tests {
         CampaignSpec {
             workers: 0,
             max_iterations: None,
-            static_bounds: false,
             timeout_ms: None,
             fault_profile: "none".to_string(),
             frozen: Vec::new(),

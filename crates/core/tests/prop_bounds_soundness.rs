@@ -1,11 +1,11 @@
 //! Property test: the static CPI bounds engine is *sound* — every
 //! simulated CPI lands inside the kernel's static interval, for random
-//! counted-loop kernels and random sampled configurations alike.
+//! counted-loop kernels and random sampled configurations alike, on both
+//! the in-order (A53) and the out-of-order (A72) core.
 //!
-//! This is the contract the static eliminator rests on: if a simulated
-//! CPI could escape its interval, a configuration could be eliminated
-//! whose true cost beats the incumbent, silently changing the campaign's
-//! outcome. The generator deliberately produces the shapes the abstract
+//! This is the contract `racesim bounds` and the RA60x lints rest on: an
+//! interval the simulator can escape reports a CPI range the model never
+//! honours. The generator deliberately produces the shapes the abstract
 //! interpreter special-cases — self-feeding dependence chains, multi-
 //! instruction recurrence cycles through repeatedly-written registers,
 //! and independent streams — by drawing destinations and sources from a
@@ -20,9 +20,11 @@ use racesim_isa::Reg;
 use racesim_kernels::{microbench_suite_initialized, Category, Scale, Workload};
 use racesim_race::SamplingModel;
 use racesim_sim::{Platform, Simulator};
+use racesim_trace::TraceBuffer;
 use racesim_uarch::CoreKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::OnceLock;
 
 /// One random body instruction over a 6-integer / 4-vector register
 /// pool. Collisions between destinations and sources are the point:
@@ -85,58 +87,85 @@ fn build_kernel(body: &[Op], trips: u64) -> Workload {
     Workload::new("prop-kernel", Category::Execution, a.finish(), expected)
 }
 
-/// Simulates `w` on `platform` and asserts the CPI lands inside the
-/// kernel's static interval.
-fn assert_sound(w: &Workload, platform: &Platform) {
-    let kb = KernelBounds::build(&w.name, &w.program, &BoundsOptions::default());
-    let iv = kb.cpi_interval(platform);
-    let trace = w.trace().expect("generated kernels emulate cleanly");
-    let sim = Simulator::new(platform.clone());
-    let stats = sim.run(&trace).expect("generated kernels simulate");
-    let cpi = stats.cpi();
-    assert!(
-        iv.contains(cpi),
-        "static bounds violated on {}: simulated CPI {cpi} outside {iv}",
-        w.name
-    );
+/// Each core's tunable space and the preset its configurations apply to.
+const CORES: [(CoreKind, fn() -> Platform); 2] = [
+    (CoreKind::InOrder, Platform::a53_like),
+    (CoreKind::OutOfOrder, Platform::a72_like),
+];
+
+/// A configuration sampled from `kind`'s space by `seed`, applied to `base`.
+fn sampled_platform(kind: CoreKind, base: &Platform, seed: u64) -> Platform {
+    let space = build_space(kind, Revision::Fixed);
+    let model = SamplingModel::new(&space);
+    let cfg = model.sample(&space, &mut StdRng::seed_from_u64(seed));
+    apply(&space, &cfg, base)
+}
+
+/// A kernel's static bounds and recorded trace, built once per kernel
+/// and checked against every platform.
+struct Checked {
+    bounds: KernelBounds,
+    trace: TraceBuffer,
+}
+
+impl Checked {
+    fn new(w: &Workload) -> Checked {
+        Checked {
+            bounds: KernelBounds::build(&w.name, &w.program, &BoundsOptions::default()),
+            trace: w.trace().expect("kernels emulate cleanly"),
+        }
+    }
+
+    /// Simulates the kernel on `platform` and asserts the CPI lands
+    /// inside its static interval.
+    fn assert_sound(&self, platform: &Platform) {
+        let iv = self.bounds.cpi_interval(platform);
+        let stats = Simulator::new(platform.clone())
+            .run(&self.trace)
+            .expect("kernels simulate");
+        let cpi = stats.cpi();
+        assert!(
+            iv.contains(cpi),
+            "static bounds violated on {} ({}): simulated CPI {cpi} outside {iv}",
+            self.bounds.name,
+            platform.name
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random kernels x random in-order configurations.
+    /// Random kernels x random configurations of each core.
     #[test]
     fn random_kernels_simulate_inside_their_interval(
         body in proptest::collection::vec(op_strategy(), 1..12),
         trips in 4u64..96,
         cfg_seed in any::<u64>(),
     ) {
-        let w = build_kernel(&body, trips);
-        let space = build_space(CoreKind::InOrder, Revision::Fixed);
-        let model = SamplingModel::new(&space);
-        let mut rng = StdRng::seed_from_u64(cfg_seed);
-        let cfg = model.sample(&space, &mut rng);
-        let platform = apply(&space, &cfg, &Platform::a53_like());
-        assert_sound(&w, &platform);
+        let kernel = Checked::new(&build_kernel(&body, trips));
+        for (kind, base) in CORES {
+            kernel.assert_sound(&sampled_platform(kind, &base(), cfg_seed));
+        }
     }
-
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The shipped microbenchmark suite x random in-order
-    /// configurations: the exact kernels the static eliminator rules on
-    /// in `racesim tune --static-bounds`.
+    /// The shipped microbenchmark suite x random configurations of each
+    /// core: the kernels `racesim bounds` reports on.
     #[test]
     fn shipped_suite_simulates_inside_its_intervals(cfg_seed in any::<u64>()) {
-        let space = build_space(CoreKind::InOrder, Revision::Fixed);
-        let model = SamplingModel::new(&space);
-        let mut rng = StdRng::seed_from_u64(cfg_seed);
-        let cfg = model.sample(&space, &mut rng);
-        let platform = apply(&space, &cfg, &Platform::a53_like());
-        for w in microbench_suite_initialized(Scale::TINY) {
-            assert_sound(&w, &platform);
+        static SUITE: OnceLock<Vec<Checked>> = OnceLock::new();
+        let suite = SUITE.get_or_init(|| {
+            microbench_suite_initialized(Scale::TINY).iter().map(Checked::new).collect()
+        });
+        for (kind, base) in CORES {
+            let platform = sampled_platform(kind, &base(), cfg_seed);
+            for kernel in suite {
+                kernel.assert_sound(&platform);
+            }
         }
     }
 }

@@ -176,10 +176,9 @@ pub struct InitSpec {
     pub timeout_ms: u64,
     /// The worker's slot index in the pool.
     pub worker: usize,
-    /// Whether the campaign runs with the static CPI bounds engine. The
-    /// worker only evaluates, so this toggles nothing but the debug-build
-    /// soundness assertion — carried in the handshake so a worker's
-    /// evaluation stack matches the coordinator's bit for bit.
+    /// Must be false. Tuner-side static elimination was removed; the
+    /// key stays in the `init` frame so frames keep their bytes, and the
+    /// worker's stack build rejects `true`.
     pub static_bounds: bool,
 }
 

@@ -450,4 +450,19 @@ mod tests {
         let (end, _) = drive(&[init_req(0), eval_req(1, 0)], &WorkerOptions::default());
         assert_eq!(end, Ok(ServeEnd::Eof));
     }
+
+    #[test]
+    fn a_handshake_asking_for_static_bounds_fails_the_stack_build() {
+        let Request::Init(mut init, est) = init_req(0) else {
+            unreachable!("init_req builds an init frame");
+        };
+        init.static_bounds = true;
+        let Err(err) = campaign_stack(&init, &est) else {
+            panic!("a static_bounds handshake must not build a stack");
+        };
+        assert!(
+            err.contains("--static-bounds") && err.contains("removed"),
+            "{err}"
+        );
+    }
 }

@@ -88,7 +88,6 @@ impl Tuner for RandomSearch {
             failed_configs: 0,
             retries: 0,
             aborted: false,
-            static_eliminated: 0,
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
             warnings: Vec::new(),
@@ -168,7 +167,6 @@ impl Tuner for GridSearch {
             failed_configs: 0,
             retries: 0,
             aborted: false,
-            static_eliminated: 0,
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
             warnings: Vec::new(),

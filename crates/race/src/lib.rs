@@ -76,6 +76,5 @@ pub use replay::{
     ReplayReport, Verdict,
 };
 pub use tuner::{
-    CostFn, IterationSummary, Pruner, RacingTuner, StaticBounds, TryCostFn, TuneResult, Tuner,
-    TunerSettings,
+    CostFn, IterationSummary, Pruner, RacingTuner, TryCostFn, TuneResult, Tuner, TunerSettings,
 };

@@ -46,8 +46,9 @@ pub enum Event {
         workers: usize,
         /// Iteration cap for this segment (0 = run to completion).
         max_iterations: u64,
-        /// Whether static CPI bounds elimination was enabled. Semantic:
-        /// a replay must apply the same pre-race eliminations.
+        /// Always false: tuner-side static elimination was removed, and
+        /// the key stays so journals keep their bytes. A replay rejects a
+        /// journal that records `true`.
         static_bounds: bool,
     },
     /// One tuning dimension was pinned before any budget was spent
@@ -127,20 +128,6 @@ pub enum Event {
         after_blocks: usize,
         /// Detail string (test statistic, failure reason, ...).
         reason: String,
-    },
-    /// A configuration was eliminated *before* racing by the static CPI
-    /// bounds engine: its suite-wide cost lower bound already exceeds the
-    /// incumbent's recorded cost, so simulating it cannot change the
-    /// outcome.
-    StaticEliminated {
-        /// Configuration identifier (checkpoint code form).
-        config: String,
-        /// Iteration the elimination happened in (0-based).
-        iteration: usize,
-        /// The configuration's suite-wide cost lower bound.
-        lower_bound: f64,
-        /// The incumbent cost the bound was compared against.
-        incumbent_cost: f64,
     },
     /// A benchmark instance was quarantined.
     Quarantine {
@@ -247,7 +234,6 @@ impl Event {
             Event::Measurement { .. } => "measurement",
             Event::Fault { .. } => "fault",
             Event::Elimination { .. } => "elimination",
-            Event::StaticEliminated { .. } => "static_eliminated",
             Event::Quarantine { .. } => "quarantine",
             Event::Checkpoint { .. } => "checkpoint",
             Event::CampaignEnd { .. } => "campaign_end",
@@ -486,17 +472,6 @@ impl JournalEntry {
                     .u64("after_blocks", *after_blocks as u64)
                     .str("reason", reason);
             }
-            Event::StaticEliminated {
-                config,
-                iteration,
-                lower_bound,
-                incumbent_cost,
-            } => {
-                o.str("config", config)
-                    .u64("iteration", *iteration as u64)
-                    .f64("lower_bound", *lower_bound)
-                    .f64("incumbent_cost", *incumbent_cost);
-            }
             Event::Quarantine { instance, reason } => {
                 o.str("instance", instance).str("reason", reason);
             }
@@ -624,12 +599,6 @@ impl JournalEntry {
                 after_blocks: f.usize("after_blocks")?,
                 reason: f.str("reason")?,
             },
-            "static_eliminated" => Event::StaticEliminated {
-                config: f.str("config")?,
-                iteration: f.usize("iteration")?,
-                lower_bound: f.f64("lower_bound")?,
-                incumbent_cost: f.f64("incumbent_cost")?,
-            },
             "quarantine" => Event::Quarantine {
                 instance: f.str("instance")?,
                 reason: f.str("reason")?,
@@ -756,12 +725,6 @@ mod tests {
             kind: "statistical".to_string(),
             after_blocks: 3,
             reason: "friedman p<0.05".to_string(),
-        });
-        roundtrip(Event::StaticEliminated {
-            config: "C1.I3.F0".to_string(),
-            iteration: 2,
-            lower_bound: 41.25,
-            incumbent_cost: 3.125,
         });
         roundtrip(Event::Quarantine {
             instance: "branch_mix".to_string(),

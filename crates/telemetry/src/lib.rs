@@ -14,9 +14,8 @@
 //!
 //! A third piece, the [`Profiler`], lives beside the `Telemetry` handle
 //! rather than inside it: a hierarchical span-based self-profiler with
-//! the same true-no-op disabled path, used by `racesim profile` and the
-//! perf-snapshot harness to attribute campaign wall time to simulator
-//! phases.
+//! the same true-no-op disabled path, used by `racesim profile` to
+//! attribute wall time to simulator phases.
 //!
 //! The default handle is *disabled*: every operation is a branch on a
 //! `None` and nothing allocates, so instrumentation can stay in place

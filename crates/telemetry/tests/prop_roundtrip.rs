@@ -4,10 +4,15 @@
 //! Entries are compared by their rendered lines rather than by value, so
 //! NaN-carrying events (where `PartialEq` would lie) are still checked
 //! exactly: parse(render(e)) must re-render to the identical line.
+//!
+//! The lossy reader is fuzzed too: it must take any bytes a crashed,
+//! truncated, corrupted or older-version writer can leave behind without
+//! panicking, account for every non-blank line as an entry or a warning,
+//! and still recover every valid line of a journal with garbage in it.
 
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
-use racesim_telemetry::{parse_journal, Event, JournalEntry};
+use racesim_telemetry::{parse_journal, parse_journal_lossy, Event, JournalEntry, JournalError};
 
 /// Arbitrary `f64` from raw bits: hits NaN, infinities, subnormals and
 /// ordinary values alike.
@@ -18,7 +23,16 @@ fn any_f64() -> impl Strategy<Value = f64> {
 /// Arbitrary string, control characters and invalid-UTF-8 replacement
 /// included (the shim has no string strategy, so build one from bytes).
 fn any_string() -> impl Strategy<Value = String> {
-    collection::vec(any::<u8>(), 0..16).prop_map(|b| String::from_utf8_lossy(&b).into_owned())
+    collection::vec(any::<u8>(), 0..16).prop_map(|b| lossy(&b))
+}
+
+/// Bytes read the way a journal file is: lossily as UTF-8.
+fn lossy(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
+}
+
+fn non_blank_lines(text: &str) -> usize {
+    text.lines().filter(|l| !l.trim().is_empty()).count()
 }
 
 fn any_event() -> BoxedStrategy<Event> {
@@ -119,14 +133,6 @@ fn any_event() -> BoxedStrategy<Event> {
                 kind,
                 after_blocks,
                 reason,
-            }
-        ),
-        (any_string(), 0..100usize, any_f64(), any_f64()).prop_map(
-            |(config, iteration, lower_bound, incumbent_cost)| Event::StaticEliminated {
-                config,
-                iteration,
-                lower_bound,
-                incumbent_cost,
             }
         ),
         (any_string(), any_string())
@@ -245,6 +251,95 @@ proptest! {
             "payload bits changed: {:016x} -> {:016x}",
             bits,
             best_cost.to_bits()
+        );
+    }
+
+    /// Any bytes: no panic, every non-blank line is an entry or a
+    /// warning, and whatever parsed re-renders to a line that parses
+    /// back identically.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_lossy_reader(
+        bytes in collection::vec(any::<u8>(), 0..512),
+    ) {
+        let text = lossy(&bytes);
+        let (entries, warnings) = parse_journal_lossy(&text);
+        prop_assert_eq!(entries.len() + warnings.len(), non_blank_lines(&text));
+        for e in &entries {
+            let line = e.render();
+            let back = JournalEntry::parse(&line).expect("a parsed entry re-parses");
+            prop_assert_eq!(back.render(), line);
+        }
+    }
+
+    /// A valid line with one byte overwritten and its tail cut: these
+    /// reach deep into the JSON parser, where random bytes rarely get.
+    #[test]
+    fn mutated_valid_lines_never_panic_the_lossy_reader(
+        t_us in any::<u64>(),
+        event in any_event(),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+        keep in any::<usize>(),
+    ) {
+        let mut bytes = JournalEntry { t_us, event }.render().into_bytes();
+        let n = bytes.len();
+        bytes[at % n] = byte;
+        bytes.truncate(1 + keep % n);
+        let text = lossy(&bytes);
+        let (entries, warnings) = parse_journal_lossy(&text);
+        prop_assert_eq!(entries.len() + warnings.len(), non_blank_lines(&text));
+    }
+
+    /// A valid journal with one garbage line spliced in anywhere: every
+    /// valid line still comes back, in order, with its exact rendering.
+    #[test]
+    fn valid_lines_survive_spliced_garbage(
+        events in collection::vec((any::<u64>(), any_event()), 1..12),
+        garbage in collection::vec(any::<u8>(), 0..96),
+        at in any::<usize>(),
+    ) {
+        let valid: Vec<String> = events
+            .into_iter()
+            .map(|(t_us, event)| JournalEntry { t_us, event }.render())
+            .collect();
+        // One line of garbage: line breaks would split it into several.
+        let junk = lossy(&garbage).replace(['\n', '\r'], " ");
+        let mut lines = valid.clone();
+        lines.insert(at % (valid.len() + 1), junk);
+        let (entries, warnings) = parse_journal_lossy(&lines.join("\n"));
+        prop_assert!(warnings.len() <= 1, "{warnings:?}");
+        let mut rest = entries.iter().map(JournalEntry::render);
+        for line in &valid {
+            prop_assert!(rest.any(|r| &r == line), "lost {line}");
+        }
+    }
+}
+
+/// Journals recorded before tuner-side static elimination was removed
+/// carry `static_eliminated` lines: they read as unknown-event warnings,
+/// not torn tails, and the rest of the journal still reads.
+#[test]
+fn a_removed_event_is_an_unknown_event_warning() {
+    let old = r#"{"t":3,"ev":"static_eliminated","config":"C1.I3.F0","iteration":0,"lower_bound":41.25,"incumbent_cost":3.125}"#;
+    let good = JournalEntry {
+        t_us: 4,
+        event: Event::Resume {
+            next_iteration: 1,
+            budget_remaining: 8,
+        },
+    }
+    .render();
+    for text in [format!("{old}\n{good}"), format!("{good}\n{old}")] {
+        let (entries, warnings) = parse_journal_lossy(&text);
+        assert_eq!(entries.len(), 1);
+        assert_eq!(warnings.len(), 1);
+        assert!(
+            !warnings[0].torn_tail,
+            "an unknown event is not a torn write"
+        );
+        assert_eq!(
+            warnings[0].error,
+            JournalError::UnknownEvent("static_eliminated".to_string())
         );
     }
 }
